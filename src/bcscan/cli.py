@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Configuration precedence, highest first: explicit flags, environment
-variables (BCS_DELTA, BCS_MAX_TW, BCS_THREADS), a --config JSON file (either
-a bare config object or a detection result whose "config" echo is reused),
-then built-in defaults.
+variables (BCS_DELTA, BCS_MAX_TW), a --config JSON file (either a bare
+config object or a detection result whose "config" echo is reused), then
+built-in defaults.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or query syntax error,
 3 semantic error (bad weights, bad config, unknown ids under --strict-ids).
@@ -16,11 +16,11 @@ import functools
 import io
 import json
 import logging
-import os
 import sys
 
 import click
 
+from . import __version__
 from .model import (BadWeights, BcscanError, DetectionConfig, RatingGraph,
                     validate_weights)
 from . import ingest as ingest_mod
@@ -119,13 +119,6 @@ def _config_options(fn):
     return fn
 
 
-def _threads_option(fn):
-    return click.option("--threads", type=int, default=os.cpu_count() or 1,
-                        envvar="BCS_THREADS", show_default="all cores",
-                        help="Worker threads for scoring (results are identical "
-                             "for any value).")(fn)
-
-
 def _echo_out(text: str, out: str | None):
     if out and out != "-":
         with open(out, "w", encoding="utf-8") as fp:
@@ -147,7 +140,7 @@ def _load_candidates(path: str, graph: RatingGraph) -> CandidateSet:
 
 
 @click.group()
-@click.version_option(package_name="bcscan")
+@click.version_option(version=__version__)
 @click.option("-v", "--verbose", count=True, help="Log progress to stderr (-vv for debug).")
 def cli(verbose: int):
     """Scan rating logs for colluding reviewer groups."""
@@ -208,16 +201,15 @@ def mine(graph_path, min_r, min_p, cap, out):
 @click.option("--candidates", "candidates_path", type=click.Path(exists=True),
               required=True, help="Candidate JSONL from the mine step.")
 @_config_options
-@_threads_option
 @click.option("--out", type=click.Path(), default=None,
               help="Scored JSONL path (default stdout).")
 @_guarded
-def indicators(graph_path, candidates_path, config_path, threads, out, **overrides):
+def indicators(graph_path, candidates_path, config_path, out, **overrides):
     """Score candidate groups: six indicators plus DOC and DI per group."""
     config = _build_config(config_path, **overrides)
     graph = RatingGraph.load(graph_path)
     cohort = _load_candidates(candidates_path, graph)
-    scored = score_cohort(graph, list(cohort), config, threads=threads)
+    scored = score_cohort(graph, list(cohort), config)
     lines = [json.dumps({**b.to_dict(), **rep.to_dict()},
                         sort_keys=True, separators=(",", ":"))
              for b, rep in scored]
@@ -250,17 +242,16 @@ def _report_csv(result: DetectionResult) -> str:
 @cli.command(name="detect")
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @_config_options
-@_threads_option
 @click.option("--out", type=click.Path(), default=None,
               help="Full result JSON path.")
 @click.option("--report", type=click.Choice(["table", "json", "csv"]),
               default="table", show_default=True, help="Stdout report format.")
 @_guarded
-def detect_cmd(graph_path, config_path, threads, out, report, **overrides):
+def detect_cmd(graph_path, config_path, out, report, **overrides):
     """Run the whole detection pass and report every examined group."""
     config = _build_config(config_path, **overrides)
     graph = RatingGraph.load(graph_path)
-    result = detect(graph, config, threads=threads)
+    result = detect(graph, config)
     if out:
         with open(out, "w", encoding="utf-8") as fp:
             json.dump(result.to_dict(), fp, indent=2, sort_keys=True)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -28,8 +27,12 @@ def degree_of_collusiveness(gvs: float, gts: float, grs: float, gms: float,
     Weights must be four non-negative reals summing to 1 (BadWeights
     otherwise), which keeps the result in [0, 1].
     """
-    ws = validate_weights(weights)
-    value = fsum(v * w for v, w in zip((gvs, gts, grs, gms), ws))
+    return _weighted_doc((gvs, gts, grs, gms), validate_weights(weights))
+
+
+def _weighted_doc(quadruple: Sequence[float], weights: Sequence[float]) -> float:
+    """DOC without the weight check, for weights validated once per call."""
+    value = fsum(v * w for v, w in zip(quadruple, weights))
     return min(1.0, max(0.0, value))
 
 
@@ -82,32 +85,28 @@ class DetectionResult:
                    config)
 
 
-class _Quadruple(NamedTuple):
-    gvs: float
-    gts: float
-    grs: float
-    gms: float
-
-
-def _quadruple(group: Biclique, table: SuspiciousnessTable,
-               config: DetectionConfig) -> _Quadruple:
-    return _Quadruple(group_value_similarity(group),
-                      group_time_similarity(group, config.max_tw),
-                      group_rating_spamicity(group),
-                      group_member_suspiciousness(group, table))
-
-
-def _map_quadruples(groups: Sequence[Biclique], table: SuspiciousnessTable,
-                    config: DetectionConfig, threads: int) -> list[_Quadruple]:
-    if threads <= 1 or len(groups) < 2:
-        return [_quadruple(g, table, config) for g in groups]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda g: _quadruple(g, table, config), groups))
+def _score(groups: Iterable[Biclique], table: SuspiciousnessTable,
+           config: DetectionConfig, max_r: int, max_p: int,
+           ) -> list[tuple[Biclique, IndicatorReport]]:
+    """Score groups with size scores relative to the given maxima."""
+    out = []
+    for b in groups:
+        quadruple = (group_value_similarity(b),
+                     group_time_similarity(b, config.max_tw),
+                     group_rating_spamicity(b),
+                     group_member_suspiciousness(b, table))
+        gs = len(b.reviewers) / max_r
+        gps = len(b.products) / max_p
+        rep = IndicatorReport(*quadruple, gs, gps,
+                              _weighted_doc(quadruple, config.weights),
+                              damaging_impact(gps, gs))
+        out.append((b, rep))
+    return out
 
 
 def score_cohort(graph: RatingGraph, groups: Sequence[Biclique],
                  config: DetectionConfig, table: SuspiciousnessTable | None = None,
-                 threads: int = 1) -> list[tuple[Biclique, IndicatorReport]]:
+                 ) -> list[tuple[Biclique, IndicatorReport]]:
     """Score a fixed cohort of groups against each other.
 
     Size scores are relative to the largest group present. Returned in
@@ -117,30 +116,20 @@ def score_cohort(graph: RatingGraph, groups: Sequence[Biclique],
         return []
     if table is None:
         table = build_suspiciousness(graph)
-    ordered = sorted(groups, key=lambda b: b.key)
-    quads = _map_quadruples(ordered, table, config, threads)
-    max_r = max(len(b.reviewers) for b in ordered)
-    max_p = max(len(b.products) for b in ordered)
-    out = []
-    for b, q in zip(ordered, quads):
-        gs = len(b.reviewers) / max_r
-        gps = len(b.products) / max_p
-        rep = IndicatorReport(q.gvs, q.gts, q.grs, q.gms, gs, gps,
-                              degree_of_collusiveness(*q, config.weights),
-                              damaging_impact(gps, gs))
-        out.append((b, rep))
-    return out
+    return _score(sorted(groups, key=lambda b: b.key), table, config,
+                  max(len(b.reviewers) for b in groups),
+                  max(len(b.products) for b in groups))
 
 
-def detect(graph: RatingGraph, config: DetectionConfig | None = None,
-           threads: int = 1) -> DetectionResult:
+def detect(graph: RatingGraph, config: DetectionConfig | None = None) -> DetectionResult:
     """Run the full detection pass over a graph.
 
     Mines maximal candidate groups, scores each one, and routes it: DOC
     above delta means collusive; otherwise a damaging impact below delta
     discards it, and anything still standing is expanded into sub-groups
-    that re-enter the queue exactly once each. Size scores are always
-    relative to the largest group ever enqueued.
+    that re-enter the queue exactly once each. Size scores are relative to
+    the largest initial candidate: a sub-group only ever holds its parent's
+    reviewers and products, so none is larger.
     """
     if config is None:
         config = DetectionConfig(max_value=graph.max_value)
@@ -151,57 +140,33 @@ def detect(graph: RatingGraph, config: DetectionConfig | None = None,
         return DetectionResult((), (), 0, 0, config)
     table = build_suspiciousness(graph)
     screen = collusive_fragment_screen(config)
-
-    quads: dict = {}
-    for b, q in zip(initial, _map_quadruples(initial, table, config, threads)):
-        quads[b.key] = q
-    # sub-groups never exceed their parents, so these maxima are stable,
-    # but keep them updated to match the "all groups ever enqueued" contract
     max_r = max(len(b.reviewers) for b in initial)
     max_p = max(len(b.products) for b in initial)
 
-    queue = deque(initial)
+    queue = deque(_score(initial, table, config, max_r, max_p))
     seen = {b.key for b in initial}
     examined: dict = {}
-    collusive_keys: list = []
+    collusive: list = []
     expanded = 0
     while queue:
-        group = queue.popleft()
-        examined[group.key] = group
-        q = quads[group.key]
-        doc = degree_of_collusiveness(*q, config.weights)
-        di = damaging_impact(len(group.products) / max_p,
-                             len(group.reviewers) / max_r)
-        if doc > config.delta:
-            collusive_keys.append(group.key)
-        elif di < config.delta:
+        group, rep = queue.popleft()
+        examined[group.key] = (group, rep)
+        if rep.doc > config.delta:
+            collusive.append((group, rep))
+        elif rep.di < config.delta:
             continue
         else:
             expanded += 1
             subs = find_sub_bicliques(group, graph, config, screen)
             fresh = [s for s in subs if s.key not in seen]
-            for s, sq in zip(fresh, _map_quadruples(fresh, table, config, threads)):
-                quads[s.key] = sq
-                seen.add(s.key)
-                queue.append(s)
-                max_r = max(max_r, len(s.reviewers))
-                max_p = max(max_p, len(s.products))
+            seen.update(s.key for s in fresh)
+            queue.extend(_score(fresh, table, config, max_r, max_p))
             if fresh:
                 log.debug("expanded %r into %d sub-group(s)", group.key, len(fresh))
 
-    def report_for(key) -> IndicatorReport:
-        b = examined[key]
-        q = quads[key]
-        gs = len(b.reviewers) / max_r
-        gps = len(b.products) / max_p
-        return IndicatorReport(q.gvs, q.gts, q.grs, q.gms, gs, gps,
-                               degree_of_collusiveness(*q, config.weights),
-                               damaging_impact(gps, gs))
-
-    scored = tuple((examined[k], report_for(k)) for k in sorted(examined))
-    collusive = tuple(sorted(((examined[k], report_for(k)) for k in collusive_keys),
-                             key=lambda br: (-br[1].doc, br[0].key)))
-    return DetectionResult(collusive, scored, len(examined), expanded, config)
+    scored = tuple(examined[k] for k in sorted(examined))
+    collusive.sort(key=lambda br: (-br[1].doc, br[0].key))
+    return DetectionResult(tuple(collusive), scored, len(examined), expanded, config)
 
 
 class ReportRow(NamedTuple):

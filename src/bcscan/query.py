@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .model import BadWeights, Biclique, DetectionConfig, IndicatorReport, RatingGraph, validate_weights
-from .detector import DetectionResult, damaging_impact, degree_of_collusiveness, detect
+from .detector import DetectionResult, _weighted_doc, detect
 
 log = logging.getLogger(__name__)
 
@@ -297,9 +297,10 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
     query's threshold, or delta when the query names none; matches must
     exceed it strictly.
     """
+    weights = validate_weights(ast.weights if ast.weights is not None
+                               else config.weights)
     if cache is None:
         cache = detect(graph, config)
-    weights = ast.weights if ast.weights is not None else config.weights
     floor = ast.doc_min if ast.doc_min is not None else config.delta
 
     warnings: list[str] = []
@@ -319,7 +320,7 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
     contains = set(ast.contains) if ast.contains else None
     kept = []
     for group, rep in cache.scored:
-        doc = degree_of_collusiveness(*rep.quadruple(), weights)
+        doc = _weighted_doc(rep.quadruple(), weights)
         if doc <= floor:
             continue
         if on is not None and not on <= set(group.products):

@@ -9,7 +9,7 @@ from datetime import date, timedelta
 from typing import Iterable, Sequence
 
 from .model import BcscanError, Biclique, DEFAULT_MAX_VALUE, DetectionConfig
-from .ingest import RawRating, build_graph, prune
+from .ingest import RawRating, ingest_ratings
 from .detector import DetectionResult, detect
 
 BASE_DATE = date(2004, 1, 1)
@@ -175,13 +175,9 @@ def recall(retrieved: Sequence[Biclique], truth: Sequence[TruthGroup],
     return Metric(hits / len(truth))
 
 
-def run_pipeline(dataset: LabeledDataset, config: DetectionConfig,
-                 threads: int = 1) -> DetectionResult:
+def run_pipeline(dataset: LabeledDataset, config: DetectionConfig) -> DetectionResult:
     """Prune, collapse and detect over a labelled dataset."""
-    pruned = prune(list(dataset.raw), config.prune_reviewer_min,
-                   config.prune_product_min)
-    graph = build_graph(pruned, max_value=config.max_value)
-    return detect(graph, config, threads=threads)
+    return detect(ingest_ratings(list(dataset.raw), config), config)
 
 
 @dataclass(frozen=True)

@@ -226,16 +226,6 @@ def test_4_property_suites_of_1000_cases_each():
         )
         assert parse(pretty(ast)) == ast
 
-    # Suite 6: detection output is byte-identical across worker counts.
-    rng = random.Random(606)
-    for _ in range(500):
-        g = random_graph(rng, rng.randint(3, 8), rng.randint(3, 6),
-                         rng.choice((0.4, 0.7)), days=rng.choice((10, 120)))
-        cfg = DetectionConfig(delta=rng.choice((0.2, 0.4, 0.6)))
-        single = detect(g, cfg, threads=1).to_dict()
-        for threads in (2, 4):
-            assert detect(g, cfg, threads=threads).to_dict() == single
-
 
 def test_5_planted_attack_retrieval_beats_90_percent():
     dataset = strong_attack_dataset()

@@ -97,14 +97,6 @@ class TestPipeline:
         b = run(runner, "mine", "--graph", str(graph))
         assert a.stdout == b.stdout
 
-    def test_detect_threads_do_not_change_report(self, runner, tmp_path):
-        _, _, graph = seed_pipeline(runner, tmp_path)
-        one = run(runner, "detect", "--graph", str(graph), "--threads", "1",
-                  "--report", "json")
-        four = run(runner, "detect", "--graph", str(graph), "--threads", "4",
-                   "--report", "json")
-        assert one.stdout == four.stdout
-
 
 class TestConfigPrecedence:
     def test_env_overrides_defaults(self, runner, tmp_path):

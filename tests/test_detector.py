@@ -1,14 +1,12 @@
 """Detection loop behaviour: aggregation, routing, expansion, reporting."""
 
-import random
-
 import pytest
 
 from bcscan.detector import (DetectionResult, damaging_impact,
                              degree_of_collusiveness, detect, rank_report,
                              score_cohort)
 from bcscan.model import BadWeights, Biclique, DetectionConfig, IndicatorReport
-from testutil import grid_graph, make_graph, random_graph
+from testutil import grid_graph, make_graph
 
 
 class TestAggregates:
@@ -118,14 +116,6 @@ class TestDetect:
         result = detect(g, DetectionConfig(delta=0.2))
         docs = [rep.doc for _, rep in result.collusive]
         assert docs == sorted(docs, reverse=True)
-
-    def test_thread_counts_do_not_change_output(self):
-        rng = random.Random(77)
-        for _ in range(10):
-            g = random_graph(rng, 7, 6, 0.7, days=50)
-            results = [detect(g, DetectionConfig(), threads=n).to_dict()
-                       for n in (1, 2, 4)]
-            assert results[0] == results[1] == results[2]
 
     def test_result_round_trip(self):
         g = unanimous_block()

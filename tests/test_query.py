@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bcscan.detector import DetectionResult
-from bcscan.model import Biclique, DetectionConfig, IndicatorReport
+from bcscan.model import BadWeights, Biclique, DetectionConfig, IndicatorReport
 from bcscan.query import (QueryAst, QuerySemanticError, QuerySyntaxError,
                           UnknownId, evaluate, parse, pretty)
 from testutil import make_graph
@@ -248,6 +248,14 @@ class TestEvaluate:
         assert any("nosuch" in w for w in result.warnings)
         with pytest.raises(UnknownId):
             evaluate(ast, graph, cache.config, cache, strict=True)
+
+    def test_bad_weights_raise_even_over_an_empty_cache(self):
+        graph, _ = five_block_fixture()
+        config = DetectionConfig()
+        empty = DetectionResult((), (), 0, 0, config)
+        with pytest.raises(BadWeights):
+            evaluate(QueryAst(weights=(0.5, 0.5, 0.5, 0.5)), graph, config,
+                     cache=empty)
 
     def test_fresh_evaluation_runs_detection(self):
         rows = [(r, p, 5, 0) for r in ("a", "b", "c")

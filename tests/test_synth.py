@@ -186,12 +186,6 @@ class TestPipeline:
         result = run_pipeline(ds, DetectionConfig())
         assert result.examined_count == 0
 
-    def test_threads_do_not_change_pipeline_output(self):
-        ds = strong_attack_dataset()
-        one = run_pipeline(ds, BENCH_CONFIG, threads=1).to_dict()
-        four = run_pipeline(ds, BENCH_CONFIG, threads=4).to_dict()
-        assert one == four
-
 
 class TestSweep:
     def test_extreme_thresholds(self):
