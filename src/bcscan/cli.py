@@ -180,16 +180,23 @@ def ingest(input_path, fmt, min_reviewer, min_product, max_value, strict, out):
 
 @cli.command()
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
-@click.option("--min-r", type=int, default=2, show_default=True)
-@click.option("--min-p", type=int, default=3, show_default=True)
-@click.option("--cap", type=int, default=100_000, show_default=True)
+@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+              help="JSON config file (or a result.json to replay).")
+@click.option("--min-r", type=int, default=None, show_default="2",
+              help="Smallest group size mined.")
+@click.option("--min-p", type=int, default=None, show_default="3",
+              help="Smallest co-rated product set mined.")
+@click.option("--cap", "candidate_cap", type=int, default=None,
+              show_default="100000", help="Abort past this many candidates.")
 @click.option("--out", type=click.Path(), default=None,
               help="Candidate JSONL path (default stdout).")
 @_guarded
-def mine(graph_path, min_r, min_p, cap, out):
+def mine(graph_path, config_path, out, **overrides):
     """Enumerate maximal candidate groups from a graph snapshot."""
+    config = _build_config(config_path, **overrides)
     graph = RatingGraph.load(graph_path)
-    candidates = enumerate_candidates(graph, min_r, min_p, cap)
+    candidates = enumerate_candidates(graph, config.min_r, config.min_p,
+                                      config.candidate_cap)
     lines = [json.dumps(b.to_dict(), sort_keys=True, separators=(",", ":"))
              for b in candidates]
     _echo_out("".join(line + "\n" for line in lines), out)

@@ -4,7 +4,10 @@
 rectangle meeting the size floors: take any qualifying product set, the
 reviewers are exactly those who rated all of it, and neither side can be
 grown without losing completeness. This is closed-itemset enumeration with
-reviewers as transactions and products as items.
+reviewers as transactions and products as items, walked LCM-style over
+bitmasks: a closure is checked only over the products of one member (any
+product every member rated, that member rated too), and a group is extended
+only by products in the union of its members' product bitmasks.
 
 ``find_sub_bicliques`` searches inside one rectangle for tighter sub-groups
 by merging single ratings bottom-up, keeping only merges that still look
@@ -62,61 +65,86 @@ class CandidateSet:
         return False
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: int = 3,
                          cap: int = 100_000) -> CandidateSet:
     """Enumerate all maximal bicliques with >= min_r reviewers and >= min_p
     products.
 
-    Reviewer sets are bitmasks; the walk extends closed product sets one
-    product at a time and keeps an extension only when it does not disturb
-    the already-fixed prefix, so every closed set is visited exactly once.
+    Reviewer sets and product sets are bitmasks over the graph's sorted
+    reviewers and products. The walk extends closed product sets one product
+    at a time and keeps an extension only when its closure adds no product
+    before the one just added, so every closed set is visited exactly once.
+    A closure tests only the products of the group's lowest-numbered member,
+    and extensions come only from the products its members rated, so no
+    node scans every reviewer or every product.
     Raises BudgetExceeded once more than ``cap`` candidates qualify.
     """
     reviewers = graph.reviewers
     products = graph.products
-    if len(reviewers) < min_r or len(products) < min_p:
+    # a group has at least one reviewer, whose products seed every closure
+    if len(reviewers) < max(min_r, 1) or len(products) < min_p:
         return CandidateSet(())
     bit_of = {r: 1 << i for i, r in enumerate(reviewers)}
+    item_of = {p: 1 << j for j, p in enumerate(products)}
     supporters = []
     for p in products:
         mask = 0
         for r in graph.reviewers_of(p):
             mask |= bit_of[r]
         supporters.append(mask)
+    rated = []
+    for r in reviewers:
+        items = 0
+        for p in graph.products_of(r):
+            items |= item_of[p]
+        rated.append(items)
+
+    def closure(mask: int) -> int:
+        # every product in the closure was rated by the lowest member
+        closed = 0
+        for j in _bits(rated[(mask & -mask).bit_length() - 1]):
+            if supporters[j] & mask == mask:
+                closed |= 1 << j
+        return closed
+
+    found: list[tuple[int, int]] = []
     full_mask = (1 << len(reviewers)) - 1
-    n_products = len(products)
-
-    def closure(mask: int) -> tuple[int, ...]:
-        return tuple(j for j in range(n_products)
-                     if supporters[j] & mask == mask)
-
-    found: list[tuple[int, tuple[int, ...]]] = []
-    root = closure(full_mask)
-    stack = [(root, full_mask, 0)]
+    stack = [(closure(full_mask), full_mask, 0)]
     while stack:
         closed, mask, start = stack.pop()
-        if len(closed) >= min_p and mask.bit_count() >= min_r:
+        if closed.bit_count() >= min_p and mask.bit_count() >= min_r:
             found.append((mask, closed))
             if len(found) > cap:
                 raise BudgetExceeded(len(found), cap)
-        closed_set = set(closed)
-        for j in range(start, n_products):
-            if j in closed_set:
-                continue
+        # conditional database: products at or after start, not yet closed,
+        # rated by some member (any other extension has no reviewers left)
+        tail = 0
+        for i in _bits(mask):
+            tail |= rated[i]
+        tail &= ~closed & ~((1 << start) - 1)
+        for j in _bits(tail):
             extended = mask & supporters[j]
             if extended.bit_count() < min_r:
                 continue
             new_closed = closure(extended)
             # canonical extension: the closure may only add products at or
             # beyond j, otherwise this set is reached via a smaller prefix
-            if any(q < j and q not in closed_set for q in new_closed):
+            if new_closed & ~closed & ((1 << j) - 1):
                 continue
             stack.append((new_closed, extended, j + 1))
 
     out = []
     for mask, closed in found:
-        rs = [reviewers[i] for i in range(len(reviewers)) if mask >> i & 1]
-        ps = [products[j] for j in closed]
+        rs = [reviewers[i] for i in _bits(mask)]
+        ps = [products[j] for j in _bits(closed)]
         out.append(Biclique.from_graph(rs, ps, graph))
     return CandidateSet(out)
 

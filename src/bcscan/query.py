@@ -320,20 +320,21 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
     contains = set(ast.contains) if ast.contains else None
     kept = []
     for group, rep in cache.scored:
-        doc = _weighted_doc(rep.quadruple(), weights)
-        if doc <= floor:
-            continue
         if on is not None and not on <= set(group.products):
             continue
         if contains is not None and not contains <= set(group.reviewers):
             continue
-        kept.append((group, replace(rep, doc=doc)))
-    kept.sort(key=lambda pair: pair[0].key)
+        doc = _weighted_doc(rep.quadruple(), weights)
+        if doc > floor:
+            kept.append((group, rep, doc))
 
     if ast.projection == "products":
-        ids = sorted({p for group, _ in kept for p in group.products})
+        ids = sorted({p for group, _, _ in kept for p in group.products})
         return QueryResult("products", ids=tuple(ids), warnings=tuple(warnings))
     if ast.projection == "reviewers":
-        ids = sorted({r for group, _ in kept for r in group.reviewers})
+        ids = sorted({r for group, _, _ in kept for r in group.reviewers})
         return QueryResult("reviewers", ids=tuple(ids), warnings=tuple(warnings))
-    return QueryResult("bicliques", groups=tuple(kept), warnings=tuple(warnings))
+    # only the bicliques projection shows reports, re-weighted to the query
+    kept.sort(key=lambda item: item[0].key)
+    groups = tuple((group, replace(rep, doc=doc)) for group, rep, doc in kept)
+    return QueryResult("bicliques", groups=groups, warnings=tuple(warnings))

@@ -115,6 +115,20 @@ class TestConfigPrecedence:
         assert res.exit_code == 0
         assert json.loads(out.read_text())["config"]["delta"] == 0.2
 
+    def test_mine_reads_config_file_and_flags_win(self, runner, tmp_path):
+        _, _, graph = seed_pipeline(runner, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_p": 4}))
+        plain = run(runner, "mine", "--graph", str(graph))
+        from_file = run(runner, "mine", "--graph", str(graph), "--config", str(cfg))
+        flag_wins = run(runner, "mine", "--graph", str(graph), "--config", str(cfg),
+                        "--min-p", "3")
+        assert plain.exit_code == from_file.exit_code == flag_wins.exit_code == 0
+        assert from_file.stdout != plain.stdout
+        assert all(len(json.loads(line)["products"]) >= 4
+                   for line in from_file.stdout.splitlines())
+        assert flag_wins.stdout == plain.stdout
+
     def test_config_file_and_result_replay(self, runner, tmp_path):
         _, _, graph = seed_pipeline(runner, tmp_path)
         cfg = tmp_path / "cfg.json"

@@ -8,7 +8,8 @@ from bcscan.mining import (BudgetExceeded, CandidateSet, enumerate_candidates,
                            find_sub_bicliques)
 from bcscan.model import Biclique, DetectionConfig
 from testutil import (grid_graph, make_graph, oracle_maximal_bicliques,
-                      oracle_passing_subrectangles, random_graph)
+                      oracle_passing_subrectangles, random_graph,
+                      reference_enumerate_candidates)
 
 
 def keys(candidates):
@@ -80,6 +81,24 @@ class TestEnumerateCandidates:
         assert len(plenty) > 3
         with pytest.raises(BudgetExceeded):
             enumerate_candidates(g, 2, 2, cap=3)
+
+    def test_equals_reference_walk_on_sparse_graphs(self):
+        # graphs far beyond the oracle's reach: many reviewers per closure,
+        # sparse product unions and rejected prefixes at every depth
+        rng = random.Random(59)
+        for trial in range(6):
+            g = random_graph(rng, rng.randint(150, 400), rng.randint(20, 60),
+                             rng.uniform(0.03, 0.15))
+            for min_r, min_p in ((2, 3), (2, 2), (3, 3), (2, 4)):
+                want = keys(reference_enumerate_candidates(g, min_r, min_p))
+                total = len(want)
+                # a cap equal to the total is not exceeded
+                got = keys(enumerate_candidates(g, min_r, min_p, cap=total))
+                assert got == want, f"trial {trial}, floors {min_r}/{min_p}"
+                if total:
+                    with pytest.raises(BudgetExceeded) as exc:
+                        enumerate_candidates(g, min_r, min_p, cap=total - 1)
+                    assert (exc.value.count, exc.value.cap) == (total, total - 1)
 
     def test_candidate_set_maxima(self):
         g = grid_graph(["r1", "r2", "r3"], ["p1", "p2", "p3", "p4"])

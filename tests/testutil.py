@@ -4,6 +4,10 @@ The oracles deliberately share no code with the package: maximal groups are
 found by enumerating every reviewer subset, and sub-group screening by
 enumerating every sub-rectangle. Slow but obviously correct, which is the
 point.
+
+``reference_enumerate_candidates`` is the package's earlier closed-set walk,
+kept verbatim as a differential reference for the bitmask miner on graphs
+far too large for the exponential oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import itertools
 import random
 from math import fsum, sqrt
 
+from bcscan.mining import BudgetExceeded, CandidateSet
 from bcscan.model import Biclique, RatingEdge, RatingGraph
 
 
@@ -61,6 +66,65 @@ def oracle_maximal_bicliques(graph: RatingGraph, min_r: int, min_p: int,
             if closure == subset:
                 out.add((subset, tuple(sorted(common))))
     return sorted(out)
+
+
+def reference_enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: int = 3,
+                                   cap: int = 100_000) -> CandidateSet:
+    """Enumerate all maximal bicliques with >= min_r reviewers and >= min_p
+    products.
+
+    Reviewer sets are bitmasks; the walk extends closed product sets one
+    product at a time and keeps an extension only when it does not disturb
+    the already-fixed prefix, so every closed set is visited exactly once.
+    Raises BudgetExceeded once more than ``cap`` candidates qualify.
+    """
+    reviewers = graph.reviewers
+    products = graph.products
+    if len(reviewers) < min_r or len(products) < min_p:
+        return CandidateSet(())
+    bit_of = {r: 1 << i for i, r in enumerate(reviewers)}
+    supporters = []
+    for p in products:
+        mask = 0
+        for r in graph.reviewers_of(p):
+            mask |= bit_of[r]
+        supporters.append(mask)
+    full_mask = (1 << len(reviewers)) - 1
+    n_products = len(products)
+
+    def closure(mask: int) -> tuple[int, ...]:
+        return tuple(j for j in range(n_products)
+                     if supporters[j] & mask == mask)
+
+    found: list[tuple[int, tuple[int, ...]]] = []
+    root = closure(full_mask)
+    stack = [(root, full_mask, 0)]
+    while stack:
+        closed, mask, start = stack.pop()
+        if len(closed) >= min_p and mask.bit_count() >= min_r:
+            found.append((mask, closed))
+            if len(found) > cap:
+                raise BudgetExceeded(len(found), cap)
+        closed_set = set(closed)
+        for j in range(start, n_products):
+            if j in closed_set:
+                continue
+            extended = mask & supporters[j]
+            if extended.bit_count() < min_r:
+                continue
+            new_closed = closure(extended)
+            # canonical extension: the closure may only add products at or
+            # beyond j, otherwise this set is reached via a smaller prefix
+            if any(q < j and q not in closed_set for q in new_closed):
+                continue
+            stack.append((new_closed, extended, j + 1))
+
+    out = []
+    for mask, closed in found:
+        rs = [reviewers[i] for i in range(len(reviewers)) if mask >> i & 1]
+        ps = [products[j] for j in closed]
+        out.append(Biclique.from_graph(rs, ps, graph))
+    return CandidateSet(out)
 
 
 def cosine(a, b) -> float:
