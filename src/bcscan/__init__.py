@@ -16,7 +16,6 @@ from .ingest import (DuplicateStats, EmptyLog, ParseError, RawRating,
 from .mining import BudgetExceeded, CandidateSet, enumerate_candidates, find_sub_bicliques
 from .indicators import (GroupTooSmall, SuspiciousnessTable, build_suspiciousness,
                          group_member_suspiciousness, group_rating_spamicity,
-                         group_size_score, group_target_size_score,
                          group_time_similarity, group_value_similarity,
                          pairwise_value_similarity, product_time_window)
 from .detector import (DetectionResult, damaging_impact, degree_of_collusiveness,

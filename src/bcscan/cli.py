@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Configuration precedence, highest first: explicit flags, environment
-variables (BCS_DELTA, BCS_MAX_TW), a --config JSON file (either a bare
-config object or a detection result whose "config" echo is reused), then
-built-in defaults.
+Each command takes flags only for the DetectionConfig fields it reads
+(one table, ``_SETTINGS``) and builds its config with ``_build_config``.
+Precedence, highest first: explicit flags, environment variables
+(BCS_DELTA, BCS_MAX_TW), a --config JSON file (either a bare config object
+or a detection result whose "config" echo is reused), for ``query`` the
+config echo of its --result, then built-in defaults. ``detect`` echoes the
+rating scale of the graph snapshot it reads.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or query syntax error,
 3 semantic error (bad weights, bad config, unknown ids under --strict-ids).
@@ -30,8 +33,7 @@ from .detector import DetectionResult, detect, rank_report, score_cohort
 from .query import (QuerySemanticError, QuerySyntaxError, UnknownId,
                     evaluate, parse)
 from .synth import (AttackScript, LabeledDataset, TruthGroup, generate,
-                    run_pipeline, threshold_sweep)
-from .ingest import RawRating
+                    threshold_sweep)
 
 log = logging.getLogger(__name__)
 
@@ -76,47 +78,65 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _build_config(config_path: str | None, **overrides) -> DetectionConfig:
+def _build_config(config_path: str | None, base: dict | None = None,
+                  **overrides) -> DetectionConfig:
+    """Layer the settings, lowest first: built-in defaults, ``base`` (a
+    command's own defaults or a cached result's echo), the --config file,
+    then flags and environment variables (None where not given)."""
     values = DetectionConfig().to_dict()
-    if config_path:
-        file_values = _load_config_file(config_path)
-        values.update({k: file_values[k] for k in values if k in file_values})
+    for layer in (base or {}, _load_config_file(config_path) if config_path else {}):
+        values.update({k: layer[k] for k in values if k in layer})
     if overrides.get("weights") is not None:
         overrides["weights"] = _parse_weights(overrides["weights"])
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
+    values.update({k: v for k, v in overrides.items() if v is not None})
     return DetectionConfig.from_dict(values)
 
 
-def _config_options(fn):
-    """Shared detection knobs; None defaults let file/env/defaults show through."""
-    options = [
-        click.option("--config", "config_path", type=click.Path(exists=True),
-                     default=None, help="JSON config file (or a result.json to replay)."),
-        click.option("--delta", type=float, default=None, envvar="BCS_DELTA",
-                     show_default="0.4", help="Collusiveness threshold."),
-        click.option("--weights", type=str, default=None,
-                     show_default="0.25,0.25,0.25,0.25",
-                     help="Comma-separated GVS,GTS,GRS,GMS weights (sum 1)."),
-        click.option("--max-tw", type=int, default=None, envvar="BCS_MAX_TW",
-                     show_default="30", help="Widest suspicious posting window, days."),
-        click.option("--min-r", type=int, default=None, show_default="2",
-                     help="Smallest group size mined."),
-        click.option("--min-p", type=int, default=None, show_default="3",
-                     help="Smallest co-rated product set mined."),
-        click.option("--cap", "candidate_cap", type=int, default=None,
-                     show_default="100000", help="Abort past this many candidates."),
-        click.option("--max-value", type=float, default=None, show_default="5.0",
-                     help="Top of the rating scale."),
-        click.option("--min-reviewer", "prune_reviewer_min", type=int, default=None,
-                     show_default="10", help="Prune reviewers below this many distinct products."),
-        click.option("--min-product", "prune_product_min", type=int, default=None,
-                     show_default="10", help="Prune products below this many raw ratings."),
-    ]
-    for opt in reversed(options):
-        fn = opt(fn)
-    return fn
+# The flag of each DetectionConfig field: name, type, environment variable, help.
+_SETTINGS = {
+    "delta": ("--delta", float, "BCS_DELTA", "Collusiveness threshold."),
+    "weights": ("--weights", str, None,
+                "Comma-separated GVS,GTS,GRS,GMS weights (sum 1)."),
+    "max_tw": ("--max-tw", int, "BCS_MAX_TW", "Widest suspicious posting window, days."),
+    "min_r": ("--min-r", int, None, "Smallest group size mined."),
+    "min_p": ("--min-p", int, None, "Smallest co-rated product set mined."),
+    "candidate_cap": ("--cap", int, None, "Abort past this many candidates."),
+    "max_value": ("--max-value", float, None, "Top of the rating scale."),
+    "prune_reviewer_min": ("--min-reviewer", int, None,
+                           "Prune reviewers below this many distinct products."),
+    "prune_product_min": ("--min-product", int, None,
+                          "Prune products below this many raw ratings."),
+}
+
+
+def _settings(*fields: str, config_file: bool = True, base: dict | None = None):
+    """Add the flags of the named DetectionConfig fields, plus --config.
+
+    Each flag defaults to None so that the config file, the environment and
+    the defaults show through; the shown default comes from
+    DetectionConfig(), updated by the command's ``base``.
+    """
+    shown = {**DetectionConfig().to_dict(), **(base or {})}
+    shown["weights"] = ",".join(map(str, shown["weights"]))
+
+    def decorate(fn):
+        for field in reversed(fields):
+            flag, kind, envvar, text = _SETTINGS[field]
+            fn = click.option(flag, field, type=kind, default=None, envvar=envvar,
+                              show_default=str(shown[field]), help=text)(fn)
+        if config_file:
+            fn = click.option("--config", "config_path", type=click.Path(exists=True),
+                              default=None,
+                              help="JSON config file (or a result.json to replay).")(fn)
+        return fn
+
+    return decorate
+
+
+# What detect and query read: mining floors and budget, scoring and flagging.
+_DETECT_SETTINGS = ("delta", "weights", "max_tw", "min_r", "min_p", "candidate_cap")
+# synth eval's pruning floors: desk-scale logs would not survive 10/10.
+_SYNTH_PRUNE = {"prune_reviewer_min": 1, "prune_product_min": 1}
 
 
 def _echo_out(text: str, out: str | None):
@@ -154,40 +174,28 @@ def cli(verbose: int):
               help="Raw rating log.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv",
               show_default=True, help="Log line format.")
-@click.option("--min-reviewer", type=int, default=10, show_default=True,
-              help="Prune reviewers below this many distinct products.")
-@click.option("--min-product", type=int, default=10, show_default=True,
-              help="Prune products below this many raw ratings.")
-@click.option("--max-value", type=float, default=5.0, show_default=True,
-              help="Top of the rating scale.")
+@_settings("prune_reviewer_min", "prune_product_min", "max_value", config_file=False)
 @click.option("--strict", is_flag=True, help="Fail on the first malformed line.")
 @click.option("--out", type=click.Path(), required=True, help="Graph snapshot path.")
 @_guarded
-def ingest(input_path, fmt, min_reviewer, min_product, max_value, strict, out):
+def ingest(input_path, fmt, strict, out, **overrides):
     """Parse, prune and collapse a raw log into a graph snapshot."""
+    config = _build_config(None, **overrides)
     with open(input_path, "r", encoding="utf-8") as fp:
-        records, errors = ingest_mod.parse_log(fp, fmt=fmt, max_value=max_value,
+        records, errors = ingest_mod.parse_log(fp, fmt=fmt, max_value=config.max_value,
                                                strict=strict)
     for err in errors:
         click.echo(f"warning: {err}", err=True)
-    pruned = ingest_mod.prune(records, min_reviewer, min_product)
-    graph = ingest_mod.build_graph(pruned, max_value=max_value)
+    graph = ingest_mod.ingest_ratings(records, config)
     graph.save(out)
-    click.echo(f"ingested {len(records)} ratings -> {len(pruned)} after pruning, "
-               f"{len(graph)} edges, {len(graph.reviewers)} reviewers, "
-               f"{len(graph.products)} products", err=True)
+    click.echo(f"ingested {len(records)} ratings -> {len(graph)} edges, "
+               f"{len(graph.reviewers)} reviewers, {len(graph.products)} products",
+               err=True)
 
 
 @cli.command()
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON config file (or a result.json to replay).")
-@click.option("--min-r", type=int, default=None, show_default="2",
-              help="Smallest group size mined.")
-@click.option("--min-p", type=int, default=None, show_default="3",
-              help="Smallest co-rated product set mined.")
-@click.option("--cap", "candidate_cap", type=int, default=None,
-              show_default="100000", help="Abort past this many candidates.")
+@_settings("min_r", "min_p", "candidate_cap")
 @click.option("--out", type=click.Path(), default=None,
               help="Candidate JSONL path (default stdout).")
 @_guarded
@@ -207,7 +215,7 @@ def mine(graph_path, config_path, out, **overrides):
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--candidates", "candidates_path", type=click.Path(exists=True),
               required=True, help="Candidate JSONL from the mine step.")
-@_config_options
+@_settings("weights", "max_tw")
 @click.option("--out", type=click.Path(), default=None,
               help="Scored JSONL path (default stdout).")
 @_guarded
@@ -248,7 +256,7 @@ def _report_csv(result: DetectionResult) -> str:
 
 @cli.command(name="detect")
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
-@_config_options
+@_settings(*_DETECT_SETTINGS)
 @click.option("--out", type=click.Path(), default=None,
               help="Full result JSON path.")
 @click.option("--report", type=click.Choice(["table", "json", "csv"]),
@@ -256,8 +264,8 @@ def _report_csv(result: DetectionResult) -> str:
 @_guarded
 def detect_cmd(graph_path, config_path, out, report, **overrides):
     """Run the whole detection pass and report every examined group."""
-    config = _build_config(config_path, **overrides)
     graph = RatingGraph.load(graph_path)
+    config = _build_config(config_path, max_value=graph.max_value, **overrides)
     result = detect(graph, config)
     if out:
         with open(out, "w", encoding="utf-8") as fp:
@@ -297,8 +305,9 @@ def _render_query_result(res, as_json: bool) -> str:
 @cli.command(name="query")
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--result", "result_path", type=click.Path(exists=True), default=None,
-              help="Cached detection result to query (skips re-detection).")
-@_config_options
+              help="Cached detection result to query (skips re-detection); "
+                   "its config echo is the layer under --config.")
+@_settings(*_DETECT_SETTINGS)
 @click.option("-e", "--execute", "query_text", type=str, default=None,
               help="Query text to run once.")
 @click.option("--repl", is_flag=True, help="Interactive prompt.")
@@ -311,16 +320,17 @@ def _render_query_result(res, as_json: bool) -> str:
 def query_cmd(graph_path, result_path, config_path, query_text, repl, as_json,
               fresh, strict_ids, **overrides):
     """Query a detection result with the getbicliques language."""
-    config = _build_config(config_path, **overrides)
-    graph = RatingGraph.load(graph_path)
-    cache = None
-    if result_path and not fresh:
-        with open(result_path, "r", encoding="utf-8") as fp:
-            cache = DetectionResult.from_dict(json.load(fp), graph)
-    if cache is None:
-        cache = detect(graph, config)
     if query_text is None and not repl:
         raise click.UsageError("provide a query with -e or start --repl")
+    graph = RatingGraph.load(graph_path)
+    saved = None
+    if result_path and not fresh:
+        with open(result_path, "r", encoding="utf-8") as fp:
+            saved = json.load(fp)
+    config = _build_config(config_path, base=saved["config"] if saved else None,
+                           **overrides)
+    cache = (DetectionResult.from_dict(saved, graph) if saved
+             else detect(graph, config))
     if query_text is not None:
         res = evaluate(parse(query_text), graph, config, cache=cache,
                        strict=strict_ids)
@@ -365,14 +375,14 @@ def _run_repl(graph, config, cache, as_json, strict_ids):
 @cli.command()
 @click.option("--scored", "scored_path", type=click.Path(exists=True), required=True,
               help="Scored JSONL from the indicators step.")
-@click.option("--delta", type=float, default=0.4, show_default=True,
-              envvar="BCS_DELTA", help="Split series into collusive vs rest.")
+@_settings("delta", config_file=False)
 @click.option("--out", type=click.Path(), default=None,
               help="CSV path (default stdout).")
 @_guarded
-def stats(scored_path, delta, out):
+def stats(scored_path, out, **overrides):
     """Cumulative distribution of every indicator over scored groups."""
     from .model import IndicatorReport
+    delta = _build_config(None, **overrides).delta
     reports = []
     labels = []
     with open(scored_path, "r", encoding="utf-8") as fp:
@@ -479,19 +489,17 @@ def _parse_deltas(text: str) -> list[float]:
 @click.option("--truth", "truth_path", type=click.Path(exists=True), required=True)
 @click.option("--deltas", type=str, default="0.0:1.0:0.1", show_default=True,
               help="start:stop:step sweep or comma-separated values.")
-@_config_options
+@_settings(*(f for f in _SETTINGS if f != "delta"), base=_SYNTH_PRUNE)
 @click.option("--out", type=click.Path(), default=None, help="Sweep CSV (default stdout).")
 @_guarded
 def synth_eval(data_path, truth_path, deltas, config_path, out, **overrides):
     """Sweep delta over a labelled dataset and report precision/recall.
 
     Pruning defaults to 1/1 here: synthetic benchmarks are desk-scale and
-    the production 10/10 activity floors would empty them.
+    the production 10/10 activity floors would empty them. The sweep sets
+    delta itself, so there is no --delta.
     """
-    for key, fallback in (("prune_reviewer_min", 1), ("prune_product_min", 1)):
-        if overrides.get(key) is None:
-            overrides[key] = fallback
-    config = _build_config(config_path, **overrides)
+    config = _build_config(config_path, base=_SYNTH_PRUNE, **overrides)
     with open(data_path, "r", encoding="utf-8") as fp:
         records, errors = ingest_mod.parse_log(fp, fmt="csv",
                                                max_value=config.max_value)

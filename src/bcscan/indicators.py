@@ -1,9 +1,10 @@
 """Group collusion indicators.
 
 Four behavioural signals are computed per group (value similarity, time
-tightness, rating spamicity, member suspiciousness) and two size signals
-relative to a cohort of examined groups. Every indicator lands in [0, 1]
-with 1 meaning "most suspicious".
+tightness, rating spamicity, member suspiciousness). The two size signals
+are relative to a cohort of examined groups, so the detector computes them
+where it scores a cohort. Every indicator lands in [0, 1] with 1 meaning
+"most suspicious".
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from math import fsum, sqrt
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import BcscanError, Biclique, IndicatorReport, RatingGraph
 
@@ -144,30 +145,6 @@ def group_member_suspiciousness(group: Biclique,
     """GMS: share of the group's members flagged in the global table."""
     hits = sum(1 for r in group.reviewers if r in table.suspicious)
     return hits / len(group.reviewers)
-
-
-def _cohort_maxima(cohort) -> tuple[int, int]:
-    max_r = getattr(cohort, "max_reviewers", None)
-    max_p = getattr(cohort, "max_products", None)
-    if max_r is None or max_p is None:
-        groups = list(cohort)
-        if not groups:
-            raise ValueError("cohort must contain at least one group")
-        max_r = max(len(g.reviewers) for g in groups)
-        max_p = max(len(g.products) for g in groups)
-    return max_r, max_p
-
-
-def group_size_score(group: Biclique, cohort) -> float:
-    """GS: member count relative to the largest group in the cohort."""
-    max_r, _ = _cohort_maxima(cohort)
-    return len(group.reviewers) / max_r
-
-
-def group_target_size_score(group: Biclique, cohort) -> float:
-    """GPS: target-set size relative to the largest in the cohort."""
-    _, max_p = _cohort_maxima(cohort)
-    return len(group.products) / max_p
 
 
 class CumulativePoint(NamedTuple):

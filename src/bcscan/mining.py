@@ -34,21 +34,11 @@ class BudgetExceeded(BcscanError):
 class CandidateSet:
     """An immutable, canonically ordered collection of bicliques."""
 
-    __slots__ = ("_bicliques", "_max_r", "_max_p")
+    __slots__ = ("_bicliques",)
 
     def __init__(self, bicliques: Sequence[Biclique]):
         unique = {b.key: b for b in bicliques}
         self._bicliques = tuple(unique[k] for k in sorted(unique))
-        self._max_r = max((len(b.reviewers) for b in self._bicliques), default=0)
-        self._max_p = max((len(b.products) for b in self._bicliques), default=0)
-
-    @property
-    def max_reviewers(self) -> int:
-        return self._max_r
-
-    @property
-    def max_products(self) -> int:
-        return self._max_p
 
     def __iter__(self) -> Iterator[Biclique]:
         return iter(self._bicliques)
@@ -58,11 +48,6 @@ class CandidateSet:
 
     def __getitem__(self, i):
         return self._bicliques[i]
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, Biclique):
-            return any(b.key == item.key for b in self._bicliques)
-        return False
 
 
 def _bits(mask: int) -> Iterator[int]:

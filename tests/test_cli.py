@@ -147,6 +147,45 @@ class TestConfigPrecedence:
         echoed = json.loads(second.read_text())["config"]
         assert echoed["delta"] == 0.7 and echoed["max_tw"] == 10
 
+    def test_query_result_echo_is_the_layer_under_config(self, runner, tmp_path):
+        _, _, graph = seed_pipeline(runner, tmp_path)
+        cached = tmp_path / "r.json"
+        res = run(runner, "detect", "--graph", str(graph), "--weights",
+                  "0.4,0.3,0.2,0.1", "--delta", "0.75", "--out", str(cached),
+                  "--report", "csv")
+        assert res.exit_code == 0
+        saved = json.loads(cached.read_text())
+
+        def groups(*args):
+            q = run(runner, "query", "--graph", str(graph), "--result", str(cached),
+                    "--json", *args)
+            assert q.exit_code == 0
+            return json.loads(q.stdout)["groups"]
+
+        # the cached weights and delta apply without repeating them
+        assert (sorted(g["doc"] for g in groups("-e", "getbicliques();"))
+                == sorted(g["doc"] for g in saved["collusive"]))
+        floor = "getbicliques() filter{ DOC > 0.41; };"
+        assert groups("-e", floor) == groups("--config", str(cached), "-e", floor)
+        # flags still win over the echo
+        plain = groups("--weights", "0.25,0.25,0.25,0.25", "--delta", "0.4",
+                       "-e", floor)
+        assert plain and plain != groups("-e", floor)
+
+    def test_detect_echoes_the_snapshot_scale(self, runner, tmp_path):
+        log = tmp_path / "ten.csv"
+        log.write_text("".join(f"r{i},p{j},{7 + (i + j) % 4},2004-01-0{j + 1}\n"
+                               for i in range(3) for j in range(3)))
+        graph = tmp_path / "g.json"
+        ing = run(runner, "ingest", "--input", str(log), "--max-value", "10",
+                  "--min-reviewer", "1", "--min-product", "1", "--out", str(graph))
+        assert ing.exit_code == 0
+        out = tmp_path / "r.json"
+        det = run(runner, "detect", "--graph", str(graph), "--out", str(out),
+                  "--report", "csv")
+        assert det.exit_code == 0
+        assert json.loads(out.read_text())["config"]["max_value"] == 10.0
+
 
 class TestExitCodes:
     def test_query_syntax_error_is_2(self, runner, tmp_path):
@@ -192,6 +231,18 @@ class TestExitCodes:
         assert res.exit_code == 0
         assert "warning" in res.output
 
+    def test_ingest_and_stats_settings_are_validated(self, runner, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text("alice,book,5,2004-01-01\n")
+        scored = tmp_path / "scored.jsonl"
+        scored.write_text("")
+        for args in (["ingest", "--input", str(log), "--min-reviewer", "-5"],
+                     ["ingest", "--input", str(log), "--max-value", "1"]):
+            res = runner.invoke(cli, args + ["--out", str(tmp_path / "g.json")])
+            assert res.exit_code == 3, args
+        res = runner.invoke(cli, ["stats", "--scored", str(scored), "--delta", "2"])
+        assert res.exit_code == 3
+
     def test_bad_attack_spec_is_3(self, runner, tmp_path):
         res = runner.invoke(cli, ["synth", "generate", "--attack", "size=oops",
                                   "--out", str(tmp_path / "d.csv")])
@@ -232,3 +283,30 @@ class TestReports:
     def test_version_flag(self, runner):
         res = run(runner, "--version")
         assert res.exit_code == 0 and "0.1.0" in res.output
+
+
+CONFIG_FLAGS = {"--config", "--delta", "--weights", "--max-tw", "--min-r", "--min-p",
+                "--cap", "--max-value", "--min-reviewer", "--min-product"}
+DETECT_FLAGS = {"--config", "--delta", "--weights", "--max-tw", "--min-r", "--min-p",
+                "--cap"}
+
+
+# The config flags each command takes: the settings it reads and no others.
+COMMAND_SETTINGS = {
+    "ingest": {"--min-reviewer", "--min-product", "--max-value"},
+    "mine": {"--config", "--min-r", "--min-p", "--cap"},
+    "indicators": {"--config", "--weights", "--max-tw"},
+    "detect": DETECT_FLAGS,
+    "query": DETECT_FLAGS,
+    "stats": {"--delta"},
+    "synth eval": CONFIG_FLAGS - {"--delta"},
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_SETTINGS))
+def test_each_command_takes_only_the_settings_it_reads(command):
+    cmd = cli
+    for name in command.split():
+        cmd = cmd.commands[name]
+    flags = {opt for param in cmd.params for opt in param.opts}
+    assert flags & CONFIG_FLAGS == COMMAND_SETTINGS[command]

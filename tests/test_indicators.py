@@ -9,8 +9,7 @@ import pytest
 from bcscan.indicators import (GroupTooSmall, build_suspiciousness,
                                cumulative_distribution,
                                group_member_suspiciousness,
-                               group_rating_spamicity, group_size_score,
-                               group_target_size_score, group_time_similarity,
+                               group_rating_spamicity, group_time_similarity,
                                group_value_similarity, pairwise_value_similarity,
                                product_time_window)
 from bcscan.model import Biclique, IndicatorReport
@@ -179,32 +178,6 @@ class TestMemberSuspiciousness:
         assert group_member_suspiciousness(pair, table) == 0.5
         clean = Biclique.from_graph(["u0", "u1"], ["p1", "p2", "p3"], g)
         assert group_member_suspiciousness(clean, table) == 0.0
-
-
-class TestSizeScores:
-    def test_relative_to_cohort_maxima(self):
-        g = grid_graph(["a", "b", "c", "d"], ["p1", "p2", "p3", "p4"])
-        big = Biclique.from_graph(["a", "b", "c", "d"], ["p1", "p2"], g)
-        small = Biclique.from_graph(["a", "b"], ["p1", "p2", "p3", "p4"], g)
-        cohort = [big, small]
-        assert group_size_score(big, cohort) == 1.0
-        assert group_size_score(small, cohort) == 0.5
-        assert group_target_size_score(big, cohort) == 0.5
-        assert group_target_size_score(small, cohort) == 1.0
-
-    def test_accepts_candidate_set_maxima(self):
-        from bcscan.mining import CandidateSet
-        g = grid_graph(["a", "b", "c"], ["p1", "p2", "p3"])
-        whole = Biclique.from_graph(["a", "b", "c"], ["p1", "p2", "p3"], g)
-        cohort = CandidateSet([whole])
-        assert group_size_score(whole, cohort) == 1.0
-        assert group_target_size_score(whole, cohort) == 1.0
-
-    def test_empty_cohort_rejected(self):
-        g = grid_graph(["a", "b"], ["p1"])
-        b = Biclique.from_graph(["a", "b"], ["p1"], g)
-        with pytest.raises(ValueError):
-            group_size_score(b, [])
 
 
 def test_indicators_stay_in_unit_interval_on_random_groups():

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from bcscan.mining import (BudgetExceeded, CandidateSet, enumerate_candidates,
-                           find_sub_bicliques)
+from bcscan.mining import BudgetExceeded, enumerate_candidates, find_sub_bicliques
 from bcscan.model import Biclique, DetectionConfig
 from testutil import (grid_graph, make_graph, oracle_maximal_bicliques,
                       oracle_passing_subrectangles, random_graph,
@@ -99,13 +98,6 @@ class TestEnumerateCandidates:
                     with pytest.raises(BudgetExceeded) as exc:
                         enumerate_candidates(g, min_r, min_p, cap=total - 1)
                     assert (exc.value.count, exc.value.cap) == (total, total - 1)
-
-    def test_candidate_set_maxima(self):
-        g = grid_graph(["r1", "r2", "r3"], ["p1", "p2", "p3", "p4"])
-        cs = enumerate_candidates(g, 2, 3)
-        assert cs.max_reviewers == 3
-        assert cs.max_products == 4
-        assert CandidateSet(()).max_reviewers == 0
 
 
 class TestFindSubBicliques:
