@@ -10,10 +10,8 @@ language slices the results.
 from .model import (BadWeights, BcscanError, Biclique, DEFAULT_MAX_VALUE,
                     DetectionConfig, DuplicateEdge, IndicatorReport,
                     MissingEdge, RatingEdge, RatingGraph, validate_weights)
-from .ingest import (DuplicateStats, EmptyLog, ParseError, RawRating,
-                     build_graph, collapse_duplicates, compute_spamicity,
-                     ingest_ratings, normalize_time, parse_log, prune)
-from .mining import BudgetExceeded, CandidateSet, enumerate_candidates, find_sub_bicliques
+from .ingest import ParseError, RawRating, build_graph, ingest_ratings, parse_log, prune
+from .mining import BudgetExceeded, enumerate_candidates, find_sub_bicliques
 from .indicators import (GroupTooSmall, SuspiciousnessTable, build_suspiciousness,
                          group_member_suspiciousness, group_rating_spamicity,
                          group_time_similarity, group_value_similarity,

@@ -24,11 +24,11 @@ import sys
 import click
 
 from . import __version__
-from .model import (BadWeights, BcscanError, DetectionConfig, RatingGraph,
-                    validate_weights)
+from .model import (BadWeights, BcscanError, Biclique, DetectionConfig,
+                    RatingGraph, validate_weights)
 from . import ingest as ingest_mod
 from .indicators import cumulative_distribution
-from .mining import CandidateSet, enumerate_candidates
+from .mining import enumerate_candidates
 from .detector import DetectionResult, detect, rank_report, score_cohort
 from .query import (QuerySemanticError, QuerySyntaxError, UnknownId,
                     evaluate, parse)
@@ -133,8 +133,6 @@ def _settings(*fields: str, config_file: bool = True, base: dict | None = None):
     return decorate
 
 
-# What detect and query read: mining floors and budget, scoring and flagging.
-_DETECT_SETTINGS = ("delta", "weights", "max_tw", "min_r", "min_p", "candidate_cap")
 # synth eval's pruning floors: desk-scale logs would not survive 10/10.
 _SYNTH_PRUNE = {"prune_reviewer_min": 1, "prune_product_min": 1}
 
@@ -147,8 +145,8 @@ def _echo_out(text: str, out: str | None):
         click.echo(text, nl=False)
 
 
-def _load_candidates(path: str, graph: RatingGraph) -> CandidateSet:
-    from .model import Biclique
+def _load_candidates(path: str, graph: RatingGraph) -> list[Biclique]:
+    """The groups of a candidate JSONL, one per key."""
     groups = []
     with open(path, "r", encoding="utf-8") as fp:
         for line in fp:
@@ -156,7 +154,7 @@ def _load_candidates(path: str, graph: RatingGraph) -> CandidateSet:
                 continue
             row = json.loads(line)
             groups.append(Biclique.from_graph(row["reviewers"], row["products"], graph))
-    return CandidateSet(groups)
+    return list({b.key: b for b in groups}.values())
 
 
 @click.group()
@@ -224,7 +222,7 @@ def indicators(graph_path, candidates_path, config_path, out, **overrides):
     config = _build_config(config_path, **overrides)
     graph = RatingGraph.load(graph_path)
     cohort = _load_candidates(candidates_path, graph)
-    scored = score_cohort(graph, list(cohort), config)
+    scored = score_cohort(graph, cohort, config)
     lines = [json.dumps({**b.to_dict(), **rep.to_dict()},
                         sort_keys=True, separators=(",", ":"))
              for b, rep in scored]
@@ -256,7 +254,7 @@ def _report_csv(result: DetectionResult) -> str:
 
 @cli.command(name="detect")
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
-@_settings(*_DETECT_SETTINGS)
+@_settings("delta", "weights", "max_tw", "min_r", "min_p", "candidate_cap")
 @click.option("--out", type=click.Path(), default=None,
               help="Full result JSON path.")
 @click.option("--report", type=click.Choice(["table", "json", "csv"]),
@@ -305,26 +303,28 @@ def _render_query_result(res, as_json: bool) -> str:
 @cli.command(name="query")
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--result", "result_path", type=click.Path(exists=True), default=None,
-              help="Cached detection result to query (skips re-detection); "
-                   "its config echo is the layer under --config.")
-@_settings(*_DETECT_SETTINGS)
+              help="Cached detection result to query (omit it to re-run "
+                   "detection); its config echo is the layer under --config.")
+@_settings("delta", "weights")
 @click.option("-e", "--execute", "query_text", type=str, default=None,
               help="Query text to run once.")
 @click.option("--repl", is_flag=True, help="Interactive prompt.")
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
-@click.option("--fresh", is_flag=True,
-              help="Ignore the cached result and re-run detection.")
 @click.option("--strict-ids", is_flag=True,
               help="Treat unknown filter ids as an error instead of a warning.")
 @_guarded
 def query_cmd(graph_path, result_path, config_path, query_text, repl, as_json,
-              fresh, strict_ids, **overrides):
-    """Query a detection result with the getbicliques language."""
+              strict_ids, **overrides):
+    """Query a detection result with the getbicliques language.
+
+    Without --result the graph is detected afresh, with the mining settings
+    of --config.
+    """
     if query_text is None and not repl:
         raise click.UsageError("provide a query with -e or start --repl")
     graph = RatingGraph.load(graph_path)
     saved = None
-    if result_path and not fresh:
+    if result_path:
         with open(result_path, "r", encoding="utf-8") as fp:
             saved = json.load(fp)
     config = _build_config(config_path, base=saved["config"] if saved else None,

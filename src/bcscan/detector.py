@@ -14,7 +14,7 @@ from .model import (Biclique, DetectionConfig, IndicatorReport, RatingGraph,
 from .indicators import (SuspiciousnessTable, build_suspiciousness,
                          group_member_suspiciousness, group_rating_spamicity,
                          group_time_similarity, group_value_similarity)
-from .mining import collusive_fragment_screen, enumerate_candidates, find_sub_bicliques
+from .mining import enumerate_candidates, find_sub_bicliques
 
 log = logging.getLogger(__name__)
 
@@ -133,13 +133,11 @@ def detect(graph: RatingGraph, config: DetectionConfig | None = None) -> Detecti
     """
     if config is None:
         config = DetectionConfig(max_value=graph.max_value)
-    candidates = enumerate_candidates(graph, config.min_r, config.min_p,
-                                      config.candidate_cap)
-    initial = list(candidates)
+    initial = enumerate_candidates(graph, config.min_r, config.min_p,
+                                   config.candidate_cap)
     if not initial:
         return DetectionResult((), (), 0, 0, config)
     table = build_suspiciousness(graph)
-    screen = collusive_fragment_screen(config)
     max_r = max(len(b.reviewers) for b in initial)
     max_p = max(len(b.products) for b in initial)
 
@@ -157,7 +155,7 @@ def detect(graph: RatingGraph, config: DetectionConfig | None = None) -> Detecti
             continue
         else:
             expanded += 1
-            subs = find_sub_bicliques(group, graph, config, screen)
+            subs = find_sub_bicliques(group, graph, config)
             fresh = [s for s in subs if s.key not in seen]
             seen.update(s.key for s in fresh)
             queue.extend(_score(fresh, table, config, max_r, max_p))

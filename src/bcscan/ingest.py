@@ -1,5 +1,5 @@
-"""Rating-log ingestion: parse raw lines, prune thin activity, compute
-duplicate statistics and collapse repeated opinions into graph edges."""
+"""Rating-log ingestion: parse raw lines, prune thin activity, and collapse
+repeated opinions into graph edges that carry their pair's spamicity."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .model import BcscanError, DEFAULT_MAX_VALUE, DetectionConfig, RatingEdge, RatingGraph
 
@@ -23,10 +23,6 @@ class ParseError(BcscanError):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
-
-
-class EmptyLog(BcscanError):
-    """Time normalization needs at least one rating."""
 
 
 @dataclass(frozen=True)
@@ -121,78 +117,33 @@ def prune(raw: list[RawRating], reviewer_min: int = 10,
         kept = survivors
 
 
-@dataclass(frozen=True)
-class DuplicateStats:
-    """Multiplicity counts over a raw (pre-collapse) rating list."""
-
-    pair_counts: Mapping[tuple[str, str], int]
-    product_counts: Mapping[str, int]
-
-    @classmethod
-    def from_ratings(cls, raw: Iterable[RawRating]) -> "DuplicateStats":
-        pairs: Counter[tuple[str, str]] = Counter()
-        products: Counter[str] = Counter()
-        for rr in raw:
-            pairs[(rr.reviewer, rr.product)] += 1
-            products[rr.product] += 1
-        return cls(dict(pairs), dict(products))
-
-
-def compute_spamicity(stats: DuplicateStats, reviewer: str, product: str) -> float:
-    """Share of the product's raw ratings posted by this pair.
-
-    Posting once or twice is treated as ordinary behaviour and scores 0.
-    """
-    pair = stats.pair_counts.get((reviewer, product), 0)
-    if pair <= 2:
-        return 0.0
-    return pair / stats.product_counts[product]
-
-
-def normalize_time(raw: list[RawRating]) -> tuple[date, dict[date, int]]:
-    """Map calendar dates to day offsets from the earliest rating."""
-    if not raw:
-        raise EmptyLog("cannot normalize an empty rating list")
-    epoch = min(rr.date for rr in raw)
-    mapping = {d: (d - epoch).days for d in {rr.date for rr in raw}}
-    return epoch, mapping
-
-
-def collapse_duplicates(raw: list[RawRating],
-                        stats: DuplicateStats) -> list[RatingEdge]:
-    """Collapse repeated opinions into one edge per (reviewer, product).
-
-    The chronologically last posting wins (ties broken by input order, so a
-    later line beats an earlier one on the same day). Edge times are day
-    offsets from the epoch of ``raw`` and each edge carries the pair's
-    spamicity from ``stats``.
-    """
-    if not raw:
-        return []
-    _, day_of = normalize_time(raw)
-    last: dict[tuple[str, str], RawRating] = {}
-    for rr in raw:
-        key = (rr.reviewer, rr.product)
-        prev = last.get(key)
-        if prev is None or rr.date >= prev.date:
-            last[key] = rr
-    edges = []
-    for reviewer, product in sorted(last):
-        rr = last[(reviewer, product)]
-        edges.append(RatingEdge(reviewer, product, rr.value, day_of[rr.date],
-                                compute_spamicity(stats, reviewer, product)))
-    return edges
-
-
 def build_graph(raw: list[RawRating],
                 max_value: float = DEFAULT_MAX_VALUE) -> RatingGraph:
-    """Collapse an already-pruned rating list into a RatingGraph."""
+    """Collapse an already-pruned rating list into a RatingGraph.
+
+    Repeated opinions collapse into one edge per (reviewer, product): the
+    chronologically last posting wins, and on a same-day tie the later
+    line does. Edge times are day offsets from the earliest rating. A pair
+    posted more than twice carries its share of the product's raw ratings
+    as spamicity; posting once or twice is ordinary behaviour and scores 0.
+    """
     if not raw:
         return RatingGraph([], max_value=max_value)
     epoch = min(rr.date for rr in raw)
-    stats = DuplicateStats.from_ratings(raw)
-    return RatingGraph(collapse_duplicates(raw, stats),
-                       max_value=max_value, epoch=epoch)
+    last: dict[tuple[str, str], RawRating] = {}
+    posts: Counter[tuple[str, str]] = Counter()
+    per_product: Counter[str] = Counter()
+    for rr in raw:
+        pair = (rr.reviewer, rr.product)
+        prev = last.get(pair)
+        if prev is None or rr.date >= prev.date:
+            last[pair] = rr
+        posts[pair] += 1
+        per_product[rr.product] += 1
+    edges = [RatingEdge(r, p, rr.value, (rr.date - epoch).days,
+                        posts[r, p] / per_product[p] if posts[r, p] > 2 else 0.0)
+             for (r, p), rr in last.items()]
+    return RatingGraph(edges, max_value=max_value, epoch=epoch)
 
 
 def ingest_ratings(raw: list[RawRating], config: DetectionConfig) -> RatingGraph:

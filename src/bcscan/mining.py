@@ -16,7 +16,7 @@ collusive.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from .model import BcscanError, Biclique, DetectionConfig, RatingGraph
 from .indicators import group_time_similarity, group_value_similarity
@@ -31,25 +31,6 @@ class BudgetExceeded(BcscanError):
         self.cap = cap
 
 
-class CandidateSet:
-    """An immutable, canonically ordered collection of bicliques."""
-
-    __slots__ = ("_bicliques",)
-
-    def __init__(self, bicliques: Sequence[Biclique]):
-        unique = {b.key: b for b in bicliques}
-        self._bicliques = tuple(unique[k] for k in sorted(unique))
-
-    def __iter__(self) -> Iterator[Biclique]:
-        return iter(self._bicliques)
-
-    def __len__(self) -> int:
-        return len(self._bicliques)
-
-    def __getitem__(self, i):
-        return self._bicliques[i]
-
-
 def _bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of ``mask``, lowest first."""
     while mask:
@@ -59,9 +40,9 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: int = 3,
-                         cap: int = 100_000) -> CandidateSet:
+                         cap: int = 100_000) -> list[Biclique]:
     """Enumerate all maximal bicliques with >= min_r reviewers and >= min_p
-    products.
+    products, in key order.
 
     Reviewer sets and product sets are bitmasks over the graph's sorted
     reviewers and products. The walk extends closed product sets one product
@@ -76,7 +57,7 @@ def enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: int = 3,
     products = graph.products
     # a group has at least one reviewer, whose products seed every closure
     if len(reviewers) < max(min_r, 1) or len(products) < min_p:
-        return CandidateSet(())
+        return []
     bit_of = {r: 1 << i for i, r in enumerate(reviewers)}
     item_of = {p: 1 << j for j, p in enumerate(products)}
     supporters = []
@@ -131,21 +112,17 @@ def enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: int = 3,
         rs = [reviewers[i] for i in _bits(mask)]
         ps = [products[j] for j in _bits(closed)]
         out.append(Biclique.from_graph(rs, ps, graph))
-    return CandidateSet(out)
+    return sorted(out, key=lambda b: b.key)
 
 
-def collusive_fragment_screen(config: DetectionConfig) -> Callable[[Biclique], bool]:
+def _looks_collusive(fragment: Biclique, config: DetectionConfig) -> bool:
     """Retention test for merged fragments: value and time similarity both
     at least delta. A single-member fragment trivially agrees with itself,
     so its value similarity counts as 1."""
-
-    def passes(fragment: Biclique) -> bool:
-        if len(fragment.reviewers) >= 2:
-            if group_value_similarity(fragment) < config.delta:
-                return False
-        return group_time_similarity(fragment, config.max_tw) >= config.delta
-
-    return passes
+    if len(fragment.reviewers) >= 2:
+        if group_value_similarity(fragment) < config.delta:
+            return False
+    return group_time_similarity(fragment, config.max_tw) >= config.delta
 
 
 def _merge(a: Biclique, b: Biclique, graph: RatingGraph) -> Biclique | None:
@@ -164,9 +141,7 @@ def _merge(a: Biclique, b: Biclique, graph: RatingGraph) -> Biclique | None:
 
 
 def find_sub_bicliques(parent: Biclique, graph: RatingGraph,
-                       config: DetectionConfig,
-                       screen: Callable[[Biclique], bool] | None = None,
-                       ) -> list[Biclique]:
+                       config: DetectionConfig) -> list[Biclique]:
     """Mine collusive sub-groups of one rectangle bottom-up.
 
     Generation zero is one fragment per rating. Each round merges every
@@ -175,8 +150,6 @@ def find_sub_bicliques(parent: Biclique, graph: RatingGraph,
     final and are emitted when they meet the size floors. The parent itself
     is never emitted.
     """
-    if screen is None:
-        screen = collusive_fragment_screen(config)
     current: list[Biclique] = [Biclique.from_graph((e.reviewer,), (e.product,), graph)
                                for e in parent.edges]
     emitted: dict = {}
@@ -186,7 +159,7 @@ def find_sub_bicliques(parent: Biclique, graph: RatingGraph,
     def passes(frag: Biclique) -> bool:
         key = frag.key
         if key not in verdict:
-            verdict[key] = screen(frag)
+            verdict[key] = _looks_collusive(frag, config)
         return verdict[key]
 
     while current:

@@ -23,8 +23,7 @@ from bcscan.indicators import (build_suspiciousness, cumulative_distribution,
                                group_rating_spamicity, group_time_similarity,
                                group_value_similarity, pairwise_value_similarity,
                                product_time_window)
-from bcscan.ingest import (DuplicateStats, RawRating, build_graph,
-                           compute_spamicity, prune)
+from bcscan.ingest import RawRating, build_graph, prune
 from bcscan.mining import enumerate_candidates
 from bcscan.model import Biclique, DetectionConfig
 from bcscan.query import QueryAst, evaluate, parse, pretty
@@ -70,8 +69,7 @@ def test_2_hand_checked_indicator_instances():
     day = date(2004, 1, 1)
     raw = [RawRating("i", "j", 5.0, day + timedelta(days=k)) for k in range(5)]
     raw += [RawRating(f"h{k:02d}", "j", 3.0, day) for k in range(15)]
-    stats = DuplicateStats.from_ratings(raw)
-    assert compute_spamicity(stats, "i", "j") == 0.25
+    assert build_graph(raw).edge("i", "j").spamicity == 0.25
 
     # Product rated {1,5,5,5,5}: median 5, RMS distance sqrt(16/5), the four
     # fives stay credible so the mean is 5, and the lone 1-rater carries a

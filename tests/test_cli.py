@@ -248,6 +248,38 @@ class TestExitCodes:
                                   "--out", str(tmp_path / "d.csv")])
         assert res.exit_code == 3
 
+    def test_query_rejects_settings_a_cached_result_ignores(self, runner, tmp_path):
+        _, _, graph = seed_pipeline(runner, tmp_path)
+        cached = tmp_path / "r.json"
+        assert run(runner, "detect", "--graph", str(graph), "--out", str(cached),
+                   "--report", "csv").exit_code == 0
+        for args in (["--min-r", "4", "--min-p", "4", "--max-tw", "1", "--cap", "1"],
+                     ["--fresh"]):
+            res = runner.invoke(cli, ["query", "--graph", str(graph), "--result",
+                                      str(cached), *args,
+                                      "-e", "getbicliques() filter{ DOC > 0.3; };"])
+            assert res.exit_code == 2, args
+            assert "No such option" in res.output
+
+    def test_query_without_result_detects_with_config_settings(self, runner, tmp_path):
+        _, _, graph = seed_pipeline(runner, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_r": 3, "min_p": 3}))
+        cached = tmp_path / "r.json"
+        assert run(runner, "detect", "--graph", str(graph), "--config", str(cfg),
+                   "--out", str(cached), "--report", "csv").exit_code == 0
+        text = "getbicliques() filter{ DOC > 0.0; };"
+
+        def groups(*args):
+            q = run(runner, "query", "--graph", str(graph), "--json", "-e", text, *args)
+            assert q.exit_code == 0
+            return json.loads(q.stdout)["groups"]
+
+        fresh = groups("--config", str(cfg))
+        assert fresh and all(len(g["reviewers"]) >= 3 for g in fresh)
+        assert fresh == groups("--result", str(cached))
+        assert fresh != groups()
+
     def test_query_without_text_or_repl_is_usage_error(self, runner, tmp_path):
         _, _, graph = seed_pipeline(runner, tmp_path)
         res = runner.invoke(cli, ["query", "--graph", str(graph)])
@@ -297,7 +329,7 @@ COMMAND_SETTINGS = {
     "mine": {"--config", "--min-r", "--min-p", "--cap"},
     "indicators": {"--config", "--weights", "--max-tw"},
     "detect": DETECT_FLAGS,
-    "query": DETECT_FLAGS,
+    "query": {"--config", "--delta", "--weights"},
     "stats": {"--delta"},
     "synth eval": CONFIG_FLAGS - {"--delta"},
 }

@@ -1,15 +1,16 @@
-"""Ingest behaviour: parsing, pruning to a fixed point, duplicate stats,
-spamicity, collapsing and time normalization."""
+"""Ingest behaviour: parsing, pruning to a fixed point, and collapsing
+repeated opinions into dated edges with their spamicity."""
 
 import random
 from datetime import date, timedelta
 
 import pytest
 
-from bcscan.ingest import (DuplicateStats, EmptyLog, ParseError, RawRating,
-                           build_graph, collapse_duplicates, compute_spamicity,
-                           ingest_ratings, normalize_time, parse_log, prune)
+from bcscan.ingest import (ParseError, RawRating, build_graph, ingest_ratings,
+                           parse_log, prune)
 from bcscan.model import DetectionConfig
+
+from testutil import reference_build_graph
 
 
 def rr(reviewer, product, value, iso):
@@ -109,70 +110,84 @@ class TestPrune:
 
 class TestSpamicity:
     def test_casual_pairs_score_zero(self):
-        stats = DuplicateStats.from_ratings(
-            [rr("u1", "p1", 5, "2004-01-01"), rr("u1", "p1", 4, "2004-01-02"),
-             rr("u2", "p1", 3, "2004-01-01")])
-        assert compute_spamicity(stats, "u1", "p1") == 0.0
-        assert compute_spamicity(stats, "u2", "p1") == 0.0
+        g = build_graph([rr("u1", "p1", 5, "2004-01-01"), rr("u1", "p1", 4, "2004-01-02"),
+                         rr("u2", "p1", 3, "2004-01-01")])
+        assert g.edge("u1", "p1").spamicity == 0.0
+        assert g.edge("u2", "p1").spamicity == 0.0
 
     def test_heavy_pair_scores_its_share(self):
         raw = [rr("u1", "p1", 5, "2004-01-01")] * 5
         raw += [rr(f"u{k}", "p1", 3, "2004-01-01") for k in range(2, 17)]
-        stats = DuplicateStats.from_ratings(raw)
-        assert stats.product_counts["p1"] == 20
-        assert compute_spamicity(stats, "u1", "p1") == 0.25
+        g = build_graph(raw)
+        assert g.edge("u1", "p1").spamicity == 0.25
+        assert g.edge("u2", "p1").spamicity == 0.0
 
     def test_single_rating_zero(self):
-        stats = DuplicateStats.from_ratings([rr("u1", "p1", 5, "2004-01-01")])
-        assert compute_spamicity(stats, "u1", "p1") == 0.0
+        g = build_graph([rr("u1", "p1", 5, "2004-01-01")])
+        assert g.edge("u1", "p1").spamicity == 0.0
 
 
 class TestNormalizeTime:
     def test_offsets_from_earliest(self):
-        raw = [rr("u1", "p1", 5, "2004-01-31"), rr("u2", "p1", 4, "2004-01-01")]
-        epoch, mapping = normalize_time(raw)
-        assert epoch == date(2004, 1, 1)
-        assert mapping[date(2004, 1, 1)] == 0
-        assert mapping[date(2004, 1, 31)] == 30
+        g = build_graph([rr("u1", "p1", 5, "2004-01-31"), rr("u2", "p1", 4, "2004-01-01")])
+        assert g.epoch == date(2004, 1, 1)
+        assert g.edge("u2", "p1").time == 0
+        assert g.edge("u1", "p1").time == 30
 
     def test_single_rating_is_day_zero(self):
-        epoch, mapping = normalize_time([rr("u1", "p1", 5, "2004-06-15")])
-        assert mapping[epoch] == 0
-
-    def test_empty_log_raises(self):
-        with pytest.raises(EmptyLog):
-            normalize_time([])
+        g = build_graph([rr("u1", "p1", 5, "2004-06-15")])
+        assert g.epoch == date(2004, 6, 15)
+        assert g.edge("u1", "p1").time == 0
 
 
 class TestCollapse:
     def test_last_posting_wins(self):
-        raw = [rr("u1", "p1", 2, "2004-01-03"), rr("u1", "p1", 5, "2004-01-09"),
-               rr("u1", "p1", 3, "2004-01-05"), rr("u2", "p1", 4, "2004-01-01")]
-        edges = collapse_duplicates(raw, DuplicateStats.from_ratings(raw))
-        by_pair = {(e.reviewer, e.product): e for e in edges}
-        winner = by_pair[("u1", "p1")]
+        g = build_graph([rr("u1", "p1", 2, "2004-01-03"), rr("u1", "p1", 5, "2004-01-09"),
+                         rr("u1", "p1", 3, "2004-01-05"), rr("u2", "p1", 4, "2004-01-01")])
+        winner = g.edge("u1", "p1")
         assert winner.value == 5.0
         assert winner.time == 8  # days after 2004-01-01
 
     def test_same_day_tie_breaks_by_input_order(self):
         raw = [rr("u1", "p1", 2, "2004-01-05"), rr("u1", "p1", 4, "2004-01-05")]
-        edges = collapse_duplicates(raw, DuplicateStats.from_ratings(raw))
-        assert edges[0].value == 4.0
+        assert build_graph(raw).edge("u1", "p1").value == 4.0
+        assert build_graph(raw[::-1]).edge("u1", "p1").value == 2.0
 
     def test_spamicity_attached_to_surviving_edge(self):
         raw = [rr("u1", "p1", 5, f"2004-01-0{d}") for d in range(1, 5)]
         raw += [rr(f"u{k}", "p1", 3, "2004-01-01") for k in range(2, 8)]
-        stats = DuplicateStats.from_ratings(raw)
-        edges = collapse_duplicates(raw, stats)
-        by_pair = {(e.reviewer, e.product): e for e in edges}
-        assert by_pair[("u1", "p1")].spamicity == pytest.approx(0.4)
-        assert by_pair[("u2", "p1")].spamicity == 0.0
+        g = build_graph(raw)
+        assert g.edge("u1", "p1").spamicity == pytest.approx(0.4)
+        assert g.edge("u1", "p1").time == 3
+        assert g.edge("u2", "p1").spamicity == 0.0
 
     def test_no_duplicates_is_identity_shaped(self):
-        raw = [rr("u1", "p1", 5, "2004-01-01"), rr("u2", "p2", 3, "2004-01-04")]
-        edges = collapse_duplicates(raw, DuplicateStats.from_ratings(raw))
-        assert [(e.reviewer, e.product, e.value, e.time) for e in edges] == \
+        g = build_graph([rr("u1", "p1", 5, "2004-01-01"), rr("u2", "p2", 3, "2004-01-04")])
+        assert [(e.reviewer, e.product, e.value, e.time) for e in g.edges()] == \
             [("u1", "p1", 5.0, 0), ("u2", "p2", 3.0, 3)]
+
+
+def random_log(rng: random.Random) -> list[RawRating]:
+    """A small log whose pairs are posted 1-6 times, on dates drawn out of
+    order from a short span so that same-day repeats are common."""
+    day0 = date(2004, 1, 1) + timedelta(days=rng.randrange(400))
+    pairs = [(f"u{r}", f"p{p}") for r in range(6) for p in range(5)]
+    raw = []
+    for reviewer, product in rng.sample(pairs, rng.randint(1, 20)):
+        for _ in range(rng.randint(1, 6)):
+            raw.append(RawRating(reviewer, product, float(rng.randint(1, 5)),
+                                 day0 + timedelta(days=rng.randrange(8))))
+    rng.shuffle(raw)
+    return raw
+
+
+def test_build_graph_matches_the_reference_collapse():
+    rng = random.Random(2024)
+    for _ in range(200):
+        raw = random_log(rng)
+        max_value = rng.choice((5.0, 10.0))
+        assert build_graph(raw, max_value).snapshot() == \
+            reference_build_graph(raw, max_value).snapshot()
 
 
 def test_build_graph_sets_epoch_and_collapses():
@@ -190,7 +205,8 @@ def test_ingest_pipeline_applies_config():
            rr("u3", "lone", 5, "2004-01-01")]
     g = ingest_ratings(raw, cfg)
     assert g.products == ("p1",)
-    assert ingest_ratings([], cfg).reviewers == ()
+    empty = ingest_ratings([], cfg)
+    assert empty.reviewers == () and empty.epoch is None
 
 
 def test_ingest_deterministic():

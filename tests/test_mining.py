@@ -148,14 +148,3 @@ class TestFindSubBicliques:
         parent = Biclique.from_graph(g.reviewers, g.products, g)
         with pytest.raises(BudgetExceeded):
             find_sub_bicliques(parent, g, self.config(candidate_cap=30))
-
-    def test_custom_screen_is_honoured(self):
-        g = grid_graph(["r1", "r2", "r3"], ["p1", "p2", "p3"])
-        parent = Biclique.from_graph(g.reviewers, g.products, g)
-        got = find_sub_bicliques(parent, g, self.config(),
-                                 screen=lambda frag: len(frag.reviewers) < 3)
-        # with the parent unreachable, the 2x3 fragments are locally maximal
-        assert {b.key for b in got} == {
-            (("r1", "r2"), ("p1", "p2", "p3")),
-            (("r1", "r3"), ("p1", "p2", "p3")),
-            (("r2", "r3"), ("p1", "p2", "p3"))}

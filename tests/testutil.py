@@ -7,17 +7,25 @@ point.
 
 ``reference_enumerate_candidates`` is the package's earlier closed-set walk,
 kept verbatim as a differential reference for the bitmask miner on graphs
-far too large for the exponential oracle.
+far too large for the exponential oracle. ``reference_build_graph`` is the
+earlier multi-step duplicate collapse (pair and product counts, spamicity,
+a date-to-day map, last posting per pair), kept as a differential reference
+for the one-pass ``build_graph``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from dataclasses import dataclass
+from datetime import date
 from math import fsum, sqrt
+from typing import Iterable, Mapping
 
-from bcscan.mining import BudgetExceeded, CandidateSet
-from bcscan.model import Biclique, RatingEdge, RatingGraph
+from bcscan.ingest import RawRating
+from bcscan.mining import BudgetExceeded
+from bcscan.model import DEFAULT_MAX_VALUE, Biclique, RatingEdge, RatingGraph
 
 
 def make_graph(rows, max_value=5.0, epoch=None) -> RatingGraph:
@@ -69,7 +77,7 @@ def oracle_maximal_bicliques(graph: RatingGraph, min_r: int, min_p: int,
 
 
 def reference_enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: int = 3,
-                                   cap: int = 100_000) -> CandidateSet:
+                                   cap: int = 100_000) -> list[Biclique]:
     """Enumerate all maximal bicliques with >= min_r reviewers and >= min_p
     products.
 
@@ -81,7 +89,7 @@ def reference_enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: in
     reviewers = graph.reviewers
     products = graph.products
     if len(reviewers) < min_r or len(products) < min_p:
-        return CandidateSet(())
+        return []
     bit_of = {r: 1 << i for i, r in enumerate(reviewers)}
     supporters = []
     for p in products:
@@ -124,7 +132,81 @@ def reference_enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: in
         rs = [reviewers[i] for i in range(len(reviewers)) if mask >> i & 1]
         ps = [products[j] for j in closed]
         out.append(Biclique.from_graph(rs, ps, graph))
-    return CandidateSet(out)
+    return sorted(out, key=lambda b: b.key)
+
+
+@dataclass(frozen=True)
+class DuplicateStats:
+    """Multiplicity counts over a raw (pre-collapse) rating list."""
+
+    pair_counts: Mapping[tuple[str, str], int]
+    product_counts: Mapping[str, int]
+
+    @classmethod
+    def from_ratings(cls, raw: Iterable[RawRating]) -> "DuplicateStats":
+        pairs: Counter[tuple[str, str]] = Counter()
+        products: Counter[str] = Counter()
+        for rr in raw:
+            pairs[(rr.reviewer, rr.product)] += 1
+            products[rr.product] += 1
+        return cls(dict(pairs), dict(products))
+
+
+def compute_spamicity(stats: DuplicateStats, reviewer: str, product: str) -> float:
+    """Share of the product's raw ratings posted by this pair.
+
+    Posting once or twice is treated as ordinary behaviour and scores 0.
+    """
+    pair = stats.pair_counts.get((reviewer, product), 0)
+    if pair <= 2:
+        return 0.0
+    return pair / stats.product_counts[product]
+
+
+def normalize_time(raw: list[RawRating]) -> tuple[date, dict[date, int]]:
+    """Map calendar dates to day offsets from the earliest rating."""
+    if not raw:
+        raise ValueError("cannot normalize an empty rating list")
+    epoch = min(rr.date for rr in raw)
+    mapping = {d: (d - epoch).days for d in {rr.date for rr in raw}}
+    return epoch, mapping
+
+
+def collapse_duplicates(raw: list[RawRating],
+                        stats: DuplicateStats) -> list[RatingEdge]:
+    """Collapse repeated opinions into one edge per (reviewer, product).
+
+    The chronologically last posting wins (ties broken by input order, so a
+    later line beats an earlier one on the same day). Edge times are day
+    offsets from the epoch of ``raw`` and each edge carries the pair's
+    spamicity from ``stats``.
+    """
+    if not raw:
+        return []
+    _, day_of = normalize_time(raw)
+    last: dict[tuple[str, str], RawRating] = {}
+    for rr in raw:
+        key = (rr.reviewer, rr.product)
+        prev = last.get(key)
+        if prev is None or rr.date >= prev.date:
+            last[key] = rr
+    edges = []
+    for reviewer, product in sorted(last):
+        rr = last[(reviewer, product)]
+        edges.append(RatingEdge(reviewer, product, rr.value, day_of[rr.date],
+                                compute_spamicity(stats, reviewer, product)))
+    return edges
+
+
+def reference_build_graph(raw: list[RawRating],
+                          max_value: float = DEFAULT_MAX_VALUE) -> RatingGraph:
+    """Collapse an already-pruned rating list into a RatingGraph."""
+    if not raw:
+        return RatingGraph([], max_value=max_value)
+    epoch = min(rr.date for rr in raw)
+    stats = DuplicateStats.from_ratings(raw)
+    return RatingGraph(collapse_duplicates(raw, stats),
+                       max_value=max_value, epoch=epoch)
 
 
 def cosine(a, b) -> float:
