@@ -25,11 +25,11 @@ import click
 
 from . import __version__
 from .model import (BadWeights, BcscanError, Biclique, DetectionConfig,
-                    RatingGraph, validate_weights)
+                    IndicatorReport, RatingGraph, scored_row, validate_weights)
 from . import ingest as ingest_mod
 from .indicators import cumulative_distribution
 from .mining import enumerate_candidates
-from .detector import DetectionResult, detect, rank_report, score_cohort
+from .detector import DetectionResult, detect, rank_report, route, score_cohort
 from .query import (QuerySemanticError, QuerySyntaxError, UnknownId,
                     evaluate, parse)
 from .synth import (AttackScript, LabeledDataset, TruthGroup, generate,
@@ -145,15 +145,15 @@ def _echo_out(text: str, out: str | None):
         click.echo(text, nl=False)
 
 
+def _read_jsonl(path: str) -> list[dict]:
+    with open(path, "r", encoding="utf-8") as fp:
+        return [json.loads(line) for line in fp if line.strip()]
+
+
 def _load_candidates(path: str, graph: RatingGraph) -> list[Biclique]:
     """The groups of a candidate JSONL, one per key."""
-    groups = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            groups.append(Biclique.from_graph(row["reviewers"], row["products"], graph))
+    groups = [Biclique.from_graph(row["reviewers"], row["products"], graph)
+              for row in _read_jsonl(path)]
     return list({b.key: b for b in groups}.values())
 
 
@@ -223,8 +223,7 @@ def indicators(graph_path, candidates_path, config_path, out, **overrides):
     graph = RatingGraph.load(graph_path)
     cohort = _load_candidates(candidates_path, graph)
     scored = score_cohort(graph, cohort, config)
-    lines = [json.dumps({**b.to_dict(), **rep.to_dict()},
-                        sort_keys=True, separators=(",", ":"))
+    lines = [json.dumps(scored_row(b, rep), sort_keys=True, separators=(",", ":"))
              for b, rep in scored]
     _echo_out("".join(line + "\n" for line in lines), out)
     click.echo(f"scored {len(scored)} group(s)", err=True)
@@ -381,19 +380,10 @@ def _run_repl(graph, config, cache, as_json, strict_ids):
 @_guarded
 def stats(scored_path, out, **overrides):
     """Cumulative distribution of every indicator over scored groups."""
-    from .model import IndicatorReport
     delta = _build_config(None, **overrides).delta
-    reports = []
-    labels = []
-    with open(scored_path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            rep = IndicatorReport(row["gvs"], row["gts"], row["grs"], row["gms"],
-                                  row["gs"], row["gps"], row["doc"], row["di"])
-            reports.append(rep)
-            labels.append("collusive" if rep.doc > delta else "other")
+    reports = [IndicatorReport.from_dict(row) for row in _read_jsonl(scored_path)]
+    labels = ["collusive" if route(rep, delta) == "collusive" else "other"
+              for rep in reports]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["indicator", "label", "value", "cumulative"])

@@ -10,7 +10,7 @@ from math import fsum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (Biclique, DetectionConfig, IndicatorReport, RatingGraph,
-                    validate_weights)
+                    scored_row, validate_weights)
 from .indicators import (SuspiciousnessTable, build_suspiciousness,
                          group_member_suspiciousness, group_rating_spamicity,
                          group_time_similarity, group_value_similarity)
@@ -41,48 +41,62 @@ def damaging_impact(gps: float, gs: float) -> float:
     return (gps + gs) / 2.0
 
 
+def route(rep: IndicatorReport, delta: float) -> str:
+    """Where a scored group goes: "collusive" when its DOC exceeds delta,
+    "dangerous" when its damaging impact is at least delta (the detector
+    expands it into sub-groups), "clear" otherwise."""
+    if rep.doc > delta:
+        return "collusive"
+    if rep.di >= delta:
+        return "dangerous"
+    return "clear"
+
+
 @dataclass(frozen=True)
 class DetectionResult:
     """Outcome of a detection run.
 
-    ``collusive`` holds the flagged groups sorted by descending DOC;
     ``scored`` holds every group that was examined (initial candidates plus
     expanded sub-groups) in canonical order, which is what reports and
-    queries work from.
+    queries work from. The flagged groups are derived from it.
     """
 
-    collusive: tuple[tuple[Biclique, IndicatorReport], ...]
     scored: tuple[tuple[Biclique, IndicatorReport], ...]
-    examined_count: int
     expanded_count: int
     config: DetectionConfig
 
+    @property
+    def collusive(self) -> tuple[tuple[Biclique, IndicatorReport], ...]:
+        """The scored groups routed "collusive", by descending DOC."""
+        delta = self.config.delta
+        return tuple(sorted(((b, rep) for b, rep in self.scored
+                             if route(rep, delta) == "collusive"),
+                            key=lambda br: (-br[1].doc, br[0].key)))
+
+    @property
+    def examined_count(self) -> int:
+        return len(self.scored)
+
     def to_dict(self) -> dict:
-        def rows(pairs):
-            return [{**b.to_dict(), **rep.to_dict()} for b, rep in pairs]
         return {"config": self.config.to_dict(),
                 "examined_count": self.examined_count,
                 "expanded_count": self.expanded_count,
-                "collusive": rows(self.collusive),
-                "scored": rows(self.scored)}
+                "collusive": [scored_row(b, rep) for b, rep in self.collusive],
+                "scored": [scored_row(b, rep) for b, rep in self.scored]}
 
     @classmethod
     def from_dict(cls, data: Mapping, graph: RatingGraph) -> "DetectionResult":
-        config = DetectionConfig.from_dict(data["config"])
-
-        def pairs(rows):
-            out = []
-            for row in rows:
-                b = Biclique.from_graph(row["reviewers"], row["products"], graph)
-                rep = IndicatorReport(row["gvs"], row["gts"], row["grs"],
-                                      row["gms"], row["gs"], row["gps"],
-                                      row["doc"], row["di"])
-                out.append((b, rep))
-            return tuple(out)
-
-        return cls(pairs(data["collusive"]), pairs(data["scored"]),
-                   int(data["examined_count"]), int(data["expanded_count"]),
-                   config)
+        """Load a result; ValueError if its collusive list is not derived."""
+        scored = tuple((Biclique.from_graph(row["reviewers"], row["products"], graph),
+                        IndicatorReport.from_dict(row)) for row in data["scored"])
+        result = cls(scored, int(data["expanded_count"]),
+                     DetectionConfig.from_dict(data["config"]))
+        listed = [(tuple(sorted(set(row["reviewers"]))),
+                   tuple(sorted(set(row["products"])))) for row in data["collusive"]]
+        if listed != [b.key for b, _ in result.collusive]:
+            raise ValueError("the result's collusive list does not match its "
+                             "scored groups above delta")
+        return result
 
 
 def _score(groups: Iterable[Biclique], table: SuspiciousnessTable,
@@ -136,35 +150,30 @@ def detect(graph: RatingGraph, config: DetectionConfig | None = None) -> Detecti
     initial = enumerate_candidates(graph, config.min_r, config.min_p,
                                    config.candidate_cap)
     if not initial:
-        return DetectionResult((), (), 0, 0, config)
+        return DetectionResult((), 0, config)
     table = build_suspiciousness(graph)
     max_r = max(len(b.reviewers) for b in initial)
     max_p = max(len(b.products) for b in initial)
 
     queue = deque(_score(initial, table, config, max_r, max_p))
     seen = {b.key for b in initial}
-    examined: dict = {}
-    collusive: list = []
+    examined = []
     expanded = 0
     while queue:
         group, rep = queue.popleft()
-        examined[group.key] = (group, rep)
-        if rep.doc > config.delta:
-            collusive.append((group, rep))
-        elif rep.di < config.delta:
+        examined.append((group, rep))
+        if route(rep, config.delta) != "dangerous":
             continue
-        else:
-            expanded += 1
-            subs = find_sub_bicliques(group, graph, config)
-            fresh = [s for s in subs if s.key not in seen]
-            seen.update(s.key for s in fresh)
-            queue.extend(_score(fresh, table, config, max_r, max_p))
-            if fresh:
-                log.debug("expanded %r into %d sub-group(s)", group.key, len(fresh))
+        expanded += 1
+        subs = find_sub_bicliques(group, graph, config)
+        fresh = [s for s in subs if s.key not in seen]
+        seen.update(s.key for s in fresh)
+        queue.extend(_score(fresh, table, config, max_r, max_p))
+        if fresh:
+            log.debug("expanded %r into %d sub-group(s)", group.key, len(fresh))
 
-    scored = tuple(examined[k] for k in sorted(examined))
-    collusive.sort(key=lambda br: (-br[1].doc, br[0].key))
-    return DetectionResult(tuple(collusive), scored, len(examined), expanded, config)
+    examined.sort(key=lambda br: br[0].key)
+    return DetectionResult(tuple(examined), expanded, config)
 
 
 class ReportRow(NamedTuple):
@@ -180,18 +189,10 @@ def rank_report(result: DetectionResult) -> list[ReportRow]:
     """Flatten a detection result into display rows.
 
     Groups are numbered in canonical order. Status is "collusive" above the
-    DOC threshold, "dangerous" when only the damaging impact clears delta,
-    and "clear" otherwise: a low-DOC group with a big footprint still
+    DOC threshold, "dangerous" when only the damaging impact is at least
+    delta, and "clear" otherwise: a low-DOC group with a big footprint still
     deserves an analyst's eye.
     """
     delta = result.config.delta
-    rows = []
-    for i, (b, rep) in enumerate(result.scored, start=1):
-        if rep.doc > delta:
-            status = "collusive"
-        elif rep.di > delta:
-            status = "dangerous"
-        else:
-            status = "clear"
-        rows.append(ReportRow(i, b.reviewers, b.products, rep.doc, rep.di, status))
-    return rows
+    return [ReportRow(i, b.reviewers, b.products, rep.doc, rep.di, route(rep, delta))
+            for i, (b, rep) in enumerate(result.scored, start=1)]

@@ -4,7 +4,7 @@ per-group indicator reports and the detection configuration."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from math import fsum, isfinite
 from typing import Iterable, Iterator, Mapping
@@ -142,10 +142,6 @@ class RatingGraph:
 
     def edge(self, reviewer: str, product: str) -> RatingEdge:
         return self._by_reviewer[reviewer][product]
-
-    def has_edge(self, reviewer: str, product: str) -> bool:
-        row = self._by_reviewer.get(reviewer)
-        return row is not None and product in row
 
     def products_of(self, reviewer: str) -> tuple[str, ...]:
         return tuple(sorted(self._by_reviewer[reviewer]))
@@ -290,6 +286,16 @@ class IndicatorReport:
                 "gms": self.gms, "gs": self.gs, "gps": self.gps,
                 "doc": self.doc, "di": self.di}
 
+    @classmethod
+    def from_dict(cls, row: Mapping) -> "IndicatorReport":
+        return cls(row["gvs"], row["gts"], row["grs"], row["gms"],
+                   row["gs"], row["gps"], row["doc"], row["di"])
+
+
+def scored_row(group: Biclique, rep: IndicatorReport) -> dict:
+    """A scored group as one flat record: its ids plus its report."""
+    return {**group.to_dict(), **rep.to_dict()}
+
 
 @dataclass(frozen=True)
 class DetectionConfig:
@@ -323,17 +329,12 @@ class DetectionConfig:
             raise ValueError(f"candidate_cap must be positive, got {self.candidate_cap}")
 
     def to_dict(self) -> dict:
-        return {"min_r": self.min_r, "min_p": self.min_p, "max_tw": self.max_tw,
-                "delta": self.delta, "weights": list(self.weights),
-                "prune_reviewer_min": self.prune_reviewer_min,
-                "prune_product_min": self.prune_product_min,
-                "max_value": self.max_value, "candidate_cap": self.candidate_cap}
+        return {**asdict(self), "weights": list(self.weights)}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "DetectionConfig":
-        known = {f: data[f] for f in ("min_r", "min_p", "max_tw", "delta", "weights",
-                                      "prune_reviewer_min", "prune_product_min",
-                                      "max_value", "candidate_cap") if f in data}
+        """Build a config from the known keys of a mapping; others are ignored."""
+        known = {f.name: data[f.name] for f in fields(cls) if f.name in data}
         if "weights" in known:
             known["weights"] = tuple(known["weights"])
         return cls(**known)

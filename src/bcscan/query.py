@@ -28,7 +28,8 @@ import re
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
-from .model import BadWeights, Biclique, DetectionConfig, IndicatorReport, RatingGraph, validate_weights
+from .model import (BadWeights, Biclique, DetectionConfig, IndicatorReport, RatingGraph,
+                    scored_row, validate_weights)
 from .detector import DetectionResult, _weighted_doc, detect
 
 log = logging.getLogger(__name__)
@@ -278,7 +279,7 @@ class QueryResult:
     def to_dict(self) -> dict:
         out: dict = {"projection": self.projection}
         if self.projection == "bicliques":
-            out["groups"] = [{**b.to_dict(), **rep.to_dict()} for b, rep in self.groups]
+            out["groups"] = [scored_row(b, rep) for b, rep in self.groups]
         else:
             out["ids"] = list(self.ids)
         if self.warnings:

@@ -190,10 +190,13 @@ class SweepPoint:
 
 def threshold_sweep(dataset: LabeledDataset, config: DetectionConfig,
                     deltas: Iterable[float]) -> list[SweepPoint]:
-    """Precision/recall over a range of collusiveness thresholds."""
+    """Precision/recall over a range of collusiveness thresholds.
+
+    Ingest never reads delta, so the log is ingested once for the sweep."""
+    graph = ingest_ratings(list(dataset.raw), config)
     points = []
     for delta in deltas:
-        result = run_pipeline(dataset, replace(config, delta=delta))
+        result = detect(graph, replace(config, delta=delta))
         retrieved = [b for b, _ in result.collusive]
         points.append(SweepPoint(delta,
                                  precision(retrieved, dataset.truth),

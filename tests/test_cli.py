@@ -261,6 +261,23 @@ class TestExitCodes:
             assert res.exit_code == 2, args
             assert "No such option" in res.output
 
+    def test_query_rejects_a_result_whose_flagged_list_disagrees(self, runner, tmp_path):
+        _, _, graph = seed_pipeline(runner, tmp_path)
+        cached = tmp_path / "r.json"
+        assert run(runner, "detect", "--graph", str(graph), "--out", str(cached),
+                   "--report", "csv").exit_code == 0
+        data = json.loads(cached.read_text())
+        first = data["collusive"][0]
+        assert len(first["reviewers"]) > 2
+        stray = {**first, "reviewers": first["reviewers"][1:]}
+        assert all(row["reviewers"] != stray["reviewers"] for row in data["scored"])
+        for collusive in (data["collusive"][1:], data["collusive"] + [stray]):
+            cached.write_text(json.dumps({**data, "collusive": collusive}))
+            res = runner.invoke(cli, ["query", "--graph", str(graph), "--result",
+                                      str(cached), "-e", "getbicliques();"])
+            assert res.exit_code == 3
+            assert "collusive" in res.output
+
     def test_query_without_result_detects_with_config_settings(self, runner, tmp_path):
         _, _, graph = seed_pipeline(runner, tmp_path)
         cfg = tmp_path / "cfg.json"

@@ -37,6 +37,20 @@ def unanimous_block(n_r=3, n_p=3, value=5.0, time=0):
                       [f"p{j}" for j in range(n_p)], value=value, time=time)
 
 
+def planted_trio():
+    """A tight trio inside a six-member crowd: three colluders vote 5.0 on
+    day 10, three scattered raters vote all over the scale and calendar."""
+    rows = []
+    for r in ("c1", "c2", "c3"):
+        for p in ("p1", "p2", "p3"):
+            rows.append((r, p, 5, 10))
+    scatter = {"s1": (1, 100), "s2": (3, 170), "s3": (5, 240)}
+    for r, (v, t) in scatter.items():
+        for i, p in enumerate(("p1", "p2", "p3")):
+            rows.append((r, p, ((v + 2 * i - 1) % 5) + 1, t + 7 * i))
+    return make_graph(rows)
+
+
 class TestDetect:
     def test_tight_unanimous_block_is_collusive(self):
         g = unanimous_block()
@@ -69,15 +83,7 @@ class TestDetect:
         assert result.config.max_value == 10.0
 
     def test_expansion_recovers_planted_trio(self):
-        rows = []
-        for r in ("c1", "c2", "c3"):
-            for p in ("p1", "p2", "p3"):
-                rows.append((r, p, 5, 10))
-        scatter = {"s1": (1, 100), "s2": (3, 170), "s3": (5, 240)}
-        for r, (v, t) in scatter.items():
-            for i, p in enumerate(("p1", "p2", "p3")):
-                rows.append((r, p, ((v + 2 * i - 1) % 5) + 1, t + 7 * i))
-        g = make_graph(rows)
+        g = planted_trio()
         result = detect(g, DetectionConfig())
         # the six-member parent is the only initial candidate and it fails
         # the DOC screen but has full damaging impact, so it gets expanded
@@ -117,11 +123,54 @@ class TestDetect:
         docs = [rep.doc for _, rep in result.collusive]
         assert docs == sorted(docs, reverse=True)
 
-    def test_result_round_trip(self):
+    def test_di_equal_to_delta_is_expanded_and_reported_dangerous(self):
+        # the only candidate is also the largest, so its di is 1.0: at
+        # delta 1.0 its DOC cannot exceed delta, but its damaging impact
+        # reaches it, so detect expands it and the report says so
         g = unanimous_block()
-        result = detect(g, DetectionConfig())
-        back = DetectionResult.from_dict(result.to_dict(), g)
-        assert back.to_dict() == result.to_dict()
+        result = detect(g, DetectionConfig(delta=1.0))
+        assert result.expanded_count == 1
+        [row] = [row for row in rank_report(result)
+                 if (row.reviewers, row.products) == (g.reviewers, g.products)]
+        assert row.doc <= 1.0 and row.di == 1.0
+        assert row.status == "dangerous"
+
+    def test_result_round_trip(self):
+        # the trio's crowd is scored but not flagged, the trio is flagged
+        for g, flagged, examined in ((unanimous_block(), 1, 1), (planted_trio(), 1, 2)):
+            result = detect(g, DetectionConfig())
+            back = DetectionResult.from_dict(result.to_dict(), g)
+            assert back.to_dict() == result.to_dict()
+            above = [(b, rep) for b, rep in back.scored if rep.doc > back.config.delta]
+            assert back.collusive == tuple(
+                sorted(above, key=lambda br: (-br[1].doc, br[0].key)))
+            assert len(back.collusive) == flagged
+            assert back.examined_count == len(back.scored) == examined
+
+    def test_from_dict_builds_each_scored_group_once(self, monkeypatch):
+        g = planted_trio()
+        data = detect(g, DetectionConfig()).to_dict()
+        assert data["collusive"]
+        build = Biclique.from_graph.__func__
+        calls = []
+
+        def counted(cls, reviewers, products, graph):
+            calls.append((reviewers, products))
+            return build(cls, reviewers, products, graph)
+
+        monkeypatch.setattr(Biclique, "from_graph", classmethod(counted))
+        DetectionResult.from_dict(data, g)
+        assert len(calls) == len(data["scored"])
+
+    def test_from_dict_rejects_a_collusive_list_that_disagrees_with_scored(self):
+        g = planted_trio()
+        data = detect(g, DetectionConfig()).to_dict()
+        [trio] = data["collusive"]
+        stray = {**trio, "reviewers": ["c1", "c2"]}   # a real rectangle, never scored
+        assert all(row["reviewers"] != ["c1", "c2"] for row in data["scored"])
+        for collusive in ([], [trio, stray], [stray]):
+            with pytest.raises(ValueError, match="collusive"):
+                DetectionResult.from_dict({**data, "collusive": collusive}, g)
 
 
 class TestScoreCohort:
@@ -154,7 +203,7 @@ class TestRankReport:
         for doc, di in quads.values():
             rep = IndicatorReport(doc, doc, doc, doc, di, di, doc, di)
             rows.append((b, rep))
-        result = DetectionResult(tuple(), tuple(rows), 3, 0, DetectionConfig())
+        result = DetectionResult(tuple(rows), 0, DetectionConfig())
         statuses = [row.status for row in rank_report(result)]
         assert statuses == ["collusive", "dangerous", "clear"]
         assert [row.group_id for row in rank_report(result)] == [1, 2, 3]

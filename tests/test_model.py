@@ -117,6 +117,14 @@ def test_config_defaults_and_echo():
     assert (cfg.prune_reviewer_min, cfg.prune_product_min) == (10, 10)
     assert cfg.candidate_cap == 100_000
     assert DetectionConfig.from_dict(cfg.to_dict()) == cfg
+    echo = cfg.to_dict()
+    assert echo["weights"] == [0.25, 0.25, 0.25, 0.25]
+    assert list(echo) == ["min_r", "min_p", "max_tw", "delta", "weights",
+                          "prune_reviewer_min", "prune_product_min",
+                          "max_value", "candidate_cap"]
+    # unknown keys, such as a result file's other fields, are ignored
+    assert DetectionConfig.from_dict({**echo, "delta": 0.3, "scored": []}) \
+        == DetectionConfig(delta=0.3)
 
 
 def test_config_validation():

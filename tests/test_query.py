@@ -161,7 +161,7 @@ def five_block_fixture():
                                 (f"g{i}p0", f"g{i}p1", f"g{i}p2"), graph)
         scored.append((b, IndicatorReport(v, v, v, v, 1.0, 1.0, v, 1.0)))
     scored.sort(key=lambda pair: pair[0].key)
-    cache = DetectionResult((), tuple(scored), 5, 0, DetectionConfig())
+    cache = DetectionResult(tuple(scored), 0, DetectionConfig())
     return graph, cache
 
 
@@ -197,7 +197,7 @@ class TestEvaluate:
         graph = make_graph(rows)
         b = Biclique.from_graph(("r1", "r2"), ("p1", "p2", "p3"), graph)
         rep = IndicatorReport(0.8, 0.6, 0.4, 0.2, 1.0, 1.0, 0.5, 1.0)
-        cache = DetectionResult((), ((b, rep),), 1, 0, DetectionConfig())
+        cache = DetectionResult(((b, rep),), 0, DetectionConfig())
         floor_55 = "filter{ DOC > 0.55; };"
         assert evaluate(parse(f"getbicliques() {floor_55}"),
                         graph, cache.config, cache).groups == ()
@@ -252,7 +252,7 @@ class TestEvaluate:
     def test_bad_weights_raise_even_over_an_empty_cache(self):
         graph, _ = five_block_fixture()
         config = DetectionConfig()
-        empty = DetectionResult((), (), 0, 0, config)
+        empty = DetectionResult((), 0, config)
         with pytest.raises(BadWeights):
             evaluate(QueryAst(weights=(0.5, 0.5, 0.5, 0.5)), graph, config,
                      cache=empty)
