@@ -9,7 +9,8 @@ config echo of its --result, then built-in defaults. ``detect`` echoes the
 rating scale of the graph snapshot it reads.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or query syntax error,
-3 semantic error (bad weights, bad config, unknown ids under --strict-ids).
+3 semantic error (bad weights, bad config, unknown ids under --strict-ids, a
+malformed snapshot, result or candidate file).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import click
 
 from . import __version__
 from .model import (BadWeights, BcscanError, Biclique, DetectionConfig,
-                    IndicatorReport, RatingGraph, scored_row, validate_weights)
+                    IndicatorReport, RatingGraph, fields_of, scored_row,
+                    validate_weights)
 from . import ingest as ingest_mod
 from .indicators import cumulative_distribution
 from .mining import enumerate_candidates
@@ -152,8 +154,9 @@ def _read_jsonl(path: str) -> list[dict]:
 
 def _load_candidates(path: str, graph: RatingGraph) -> list[Biclique]:
     """The groups of a candidate JSONL, one per key."""
-    groups = [Biclique.from_graph(row["reviewers"], row["products"], graph)
-              for row in _read_jsonl(path)]
+    with fields_of("candidate file"):
+        groups = [Biclique.from_graph(row["reviewers"], row["products"], graph)
+                  for row in _read_jsonl(path)]
     return list({b.key: b for b in groups}.values())
 
 
@@ -322,14 +325,15 @@ def query_cmd(graph_path, result_path, config_path, query_text, repl, as_json,
     if query_text is None and not repl:
         raise click.UsageError("provide a query with -e or start --repl")
     graph = RatingGraph.load(graph_path)
-    saved = None
+    cache = None
     if result_path:
         with open(result_path, "r", encoding="utf-8") as fp:
-            saved = json.load(fp)
-    config = _build_config(config_path, base=saved["config"] if saved else None,
+            cache = DetectionResult.from_dict(json.load(fp), graph)
+    config = _build_config(config_path,
+                           base=cache.config.to_dict() if cache else None,
                            **overrides)
-    cache = (DetectionResult.from_dict(saved, graph) if saved
-             else detect(graph, config))
+    if cache is None:
+        cache = detect(graph, config)
     if query_text is not None:
         res = evaluate(parse(query_text), graph, config, cache=cache,
                        strict=strict_ids)
@@ -381,7 +385,8 @@ def _run_repl(graph, config, cache, as_json, strict_ids):
 def stats(scored_path, out, **overrides):
     """Cumulative distribution of every indicator over scored groups."""
     delta = _build_config(None, **overrides).delta
-    reports = [IndicatorReport.from_dict(row) for row in _read_jsonl(scored_path)]
+    with fields_of("scored file"):
+        reports = [IndicatorReport.from_dict(row) for row in _read_jsonl(scored_path)]
     labels = ["collusive" if route(rep, delta) == "collusive" else "other"
               for rep in reports]
     buf = io.StringIO()

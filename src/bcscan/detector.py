@@ -10,7 +10,7 @@ from math import fsum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (Biclique, DetectionConfig, IndicatorReport, RatingGraph,
-                    scored_row, validate_weights)
+                    fields_of, scored_row, validate_weights)
 from .indicators import (SuspiciousnessTable, build_suspiciousness,
                          group_member_suspiciousness, group_rating_spamicity,
                          group_time_similarity, group_value_similarity)
@@ -86,13 +86,17 @@ class DetectionResult:
 
     @classmethod
     def from_dict(cls, data: Mapping, graph: RatingGraph) -> "DetectionResult":
-        """Load a result; ValueError if its collusive list is not derived."""
-        scored = tuple((Biclique.from_graph(row["reviewers"], row["products"], graph),
-                        IndicatorReport.from_dict(row)) for row in data["scored"])
-        result = cls(scored, int(data["expanded_count"]),
-                     DetectionConfig.from_dict(data["config"]))
-        listed = [(tuple(sorted(set(row["reviewers"]))),
-                   tuple(sorted(set(row["products"])))) for row in data["collusive"]]
+        """Load a result; ValueError if it is not a JSON object with every
+        field, or if its collusive list is not derived."""
+        if not isinstance(data, Mapping):
+            raise ValueError("a result must be a JSON object")
+        with fields_of("result"):
+            scored = tuple((Biclique.from_graph(row["reviewers"], row["products"], graph),
+                            IndicatorReport.from_dict(row)) for row in data["scored"])
+            result = cls(scored, int(data["expanded_count"]),
+                         DetectionConfig.from_dict(data["config"]))
+            listed = [(tuple(sorted(set(row["reviewers"]))),
+                       tuple(sorted(set(row["products"])))) for row in data["collusive"]]
         if listed != [b.key for b, _ in result.collusive]:
             raise ValueError("the result's collusive list does not match its "
                              "scored groups above delta")
@@ -165,7 +169,7 @@ def detect(graph: RatingGraph, config: DetectionConfig | None = None) -> Detecti
         if route(rep, config.delta) != "dangerous":
             continue
         expanded += 1
-        subs = find_sub_bicliques(group, graph, config)
+        subs = find_sub_bicliques(group, config)
         fresh = [s for s in subs if s.key not in seen]
         seen.update(s.key for s in fresh)
         queue.extend(_score(fresh, table, config, max_r, max_p))

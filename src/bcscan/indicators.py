@@ -71,8 +71,9 @@ def group_time_similarity(group: Biclique, max_tw: int) -> float:
 
 def group_rating_spamicity(group: Biclique) -> float:
     """GRS: value-weighted average spamicity of the group's edges."""
-    total = fsum(e.value for e in group.edges)
-    return fsum(e.value * e.spamicity for e in group.edges) / total
+    edges = group.edges
+    total = fsum(e.value for e in edges)
+    return fsum(e.value * e.spamicity for e in edges) / total
 
 
 class ProductConsensus(NamedTuple):
@@ -101,17 +102,13 @@ class SuspiciousnessTable:
     consensus: Mapping[str, ProductConsensus]
     l2_deviation: Mapping[str, float]
     max_deviation: Mapping[str, float]
-    l2_median: float
-    l2_distance: float
-    max_median: float
-    max_distance: float
     suspicious: frozenset[str]
 
 
 def build_suspiciousness(graph: RatingGraph) -> SuspiciousnessTable:
     """Build the global suspiciousness table for a graph."""
     if not graph:
-        return SuspiciousnessTable({}, {}, {}, 0.0, 0.0, 0.0, 0.0, frozenset())
+        return SuspiciousnessTable({}, {}, {}, frozenset())
     consensus: dict[str, ProductConsensus] = {}
     for p in graph.products:
         values = [e.value for e in graph.edges_of_product(p)]
@@ -136,8 +133,7 @@ def build_suspiciousness(graph: RatingGraph) -> SuspiciousnessTable:
     flagged = frozenset(r for r in graph.reviewers
                         if l2[r] > l2_med + l2_dist
                         or worst[r] > worst_med + worst_dist)
-    return SuspiciousnessTable(consensus, l2, worst, l2_med, l2_dist,
-                               worst_med, worst_dist, flagged)
+    return SuspiciousnessTable(consensus, l2, worst, flagged)
 
 
 def group_member_suspiciousness(group: Biclique,

@@ -125,9 +125,9 @@ def _looks_collusive(fragment: Biclique, config: DetectionConfig) -> bool:
     return group_time_similarity(fragment, config.max_tw) >= config.delta
 
 
-def _merge(a: Biclique, b: Biclique, graph: RatingGraph) -> Biclique | None:
+def _merge(a: Biclique, b: Biclique) -> Biclique | None:
     """Union two fragments' relation sets; None if the union is not a
-    complete rectangle."""
+    complete rectangle of their graph."""
     rs = set(a.reviewers) | set(b.reviewers)
     ps = set(a.products) | set(b.products)
     shared_r = len(set(a.reviewers) & set(b.reviewers))
@@ -137,12 +137,11 @@ def _merge(a: Biclique, b: Biclique, graph: RatingGraph) -> Biclique | None:
                    - shared_r * shared_p)
     if union_edges != len(rs) * len(ps):
         return None
-    return Biclique.from_graph(rs, ps, graph)
+    return Biclique.from_graph(rs, ps, a.graph)
 
 
-def find_sub_bicliques(parent: Biclique, graph: RatingGraph,
-                       config: DetectionConfig) -> list[Biclique]:
-    """Mine collusive sub-groups of one rectangle bottom-up.
+def find_sub_bicliques(parent: Biclique, config: DetectionConfig) -> list[Biclique]:
+    """Mine collusive sub-groups of one rectangle of its graph bottom-up.
 
     Generation zero is one fragment per rating. Each round merges every
     fragment pair whose relation union is itself a complete rectangle and
@@ -150,8 +149,8 @@ def find_sub_bicliques(parent: Biclique, graph: RatingGraph,
     final and are emitted when they meet the size floors. The parent itself
     is never emitted.
     """
-    current: list[Biclique] = [Biclique.from_graph((e.reviewer,), (e.product,), graph)
-                               for e in parent.edges]
+    current: list[Biclique] = [Biclique.from_graph((r,), (p,), parent.graph)
+                               for r in parent.reviewers for p in parent.products]
     emitted: dict = {}
     generated = len(current)
     verdict: dict = {}
@@ -168,7 +167,7 @@ def find_sub_bicliques(parent: Biclique, graph: RatingGraph,
         processed = [False] * n
         for i in range(n - 1):
             for j in range(i + 1, n):
-                frag = _merge(current[i], current[j], graph)
+                frag = _merge(current[i], current[j])
                 if frag is None or not passes(frag):
                     continue
                 processed[i] = processed[j] = True

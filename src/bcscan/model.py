@@ -4,6 +4,7 @@ per-group indicator reports and the detection configuration."""
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from math import fsum, isfinite
@@ -56,6 +57,16 @@ def validate_weights(weights: Iterable[float]) -> tuple[float, float, float, flo
     return ws
 
 
+@contextmanager
+def fields_of(kind: str):
+    """Report a record field missing inside the block as a ValueError that
+    names the kind of file or record being read."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{kind} has no {exc.args[0]!r} field") from None
+
+
 @dataclass(frozen=True)
 class RatingEdge:
     """One collapsed rating: reviewer -> product with value, day and spamicity.
@@ -86,8 +97,9 @@ class RatingGraph:
     """Immutable bipartite reviewer/product graph indexed both ways.
 
     Construction rejects duplicate (reviewer, product) pairs and values above
-    ``max_value``. All iteration orders are lexicographic so downstream
-    results are reproducible byte for byte.
+    ``max_value``. Every row (a reviewer's ratings) and every column (a
+    product's ratings) is stored once in lexicographic order, so listings
+    and snapshots come out in a reproducible order without sorting again.
     """
 
     __slots__ = ("_by_reviewer", "_by_product", "_reviewers", "_products",
@@ -96,23 +108,28 @@ class RatingGraph:
     def __init__(self, edges: Iterable[RatingEdge],
                  max_value: float = DEFAULT_MAX_VALUE,
                  epoch: date | None = None):
-        by_r: dict[str, dict[str, RatingEdge]] = {}
-        by_p: dict[str, dict[str, RatingEdge]] = {}
+        rows: dict[str, dict[str, RatingEdge]] = {}
         n = 0
         for e in edges:
             if e.value > max_value:
                 raise ValueError(
                     f"rating {e.value!r} by {e.reviewer!r} on {e.product!r} "
                     f"exceeds max_value={max_value!r}")
-            row = by_r.setdefault(e.reviewer, {})
+            row = rows.setdefault(e.reviewer, {})
             if e.product in row:
                 raise DuplicateEdge(e.reviewer, e.product)
             row[e.product] = e
-            by_p.setdefault(e.product, {})[e.reviewer] = e
             n += 1
+        self._reviewers = tuple(sorted(rows))
+        # each row is sorted once; filling the columns in row order sorts them too
+        by_r: dict[str, dict[str, RatingEdge]] = {}
+        by_p: dict[str, dict[str, RatingEdge]] = {}
+        for r in self._reviewers:
+            by_r[r] = row = dict(sorted(rows[r].items()))
+            for p, e in row.items():
+                by_p.setdefault(p, {})[r] = e
         self._by_reviewer = by_r
         self._by_product = by_p
-        self._reviewers = tuple(sorted(by_r))
         self._products = tuple(sorted(by_p))
         self._max_value = float(max_value)
         self._epoch = epoch
@@ -137,31 +154,24 @@ class RatingGraph:
     def __len__(self) -> int:
         return self._n_edges
 
-    def __bool__(self) -> bool:
-        return self._n_edges > 0
-
     def edge(self, reviewer: str, product: str) -> RatingEdge:
         return self._by_reviewer[reviewer][product]
 
     def products_of(self, reviewer: str) -> tuple[str, ...]:
-        return tuple(sorted(self._by_reviewer[reviewer]))
+        return tuple(self._by_reviewer[reviewer])
 
     def reviewers_of(self, product: str) -> tuple[str, ...]:
-        return tuple(sorted(self._by_product[product]))
+        return tuple(self._by_product[product])
 
     def edges_of_reviewer(self, reviewer: str) -> tuple[RatingEdge, ...]:
-        row = self._by_reviewer[reviewer]
-        return tuple(row[p] for p in sorted(row))
+        return tuple(self._by_reviewer[reviewer].values())
 
     def edges_of_product(self, product: str) -> tuple[RatingEdge, ...]:
-        col = self._by_product[product]
-        return tuple(col[r] for r in sorted(col))
+        return tuple(self._by_product[product].values())
 
     def edges(self) -> Iterator[RatingEdge]:
         for r in self._reviewers:
-            row = self._by_reviewer[r]
-            for p in sorted(row):
-                yield row[p]
+            yield from self._by_reviewer[r].values()
 
     # -- snapshot format ---------------------------------------------------
     # Line 1 is a header with the scale and epoch, every further line is one
@@ -190,11 +200,13 @@ class RatingGraph:
         header = json.loads(lines[0])
         epoch = date.fromisoformat(header["epoch"]) if header.get("epoch") else None
         edges = []
-        for ln in lines[1:]:
-            rec = json.loads(ln)
-            edges.append(RatingEdge(rec["r"], rec["p"], float(rec["v"]),
-                                    int(rec["t"]), float(rec["s"])))
-        return cls(edges, max_value=float(header["max_value"]), epoch=epoch)
+        with fields_of("snapshot"):
+            max_value = float(header["max_value"])
+            for ln in lines[1:]:
+                rec = json.loads(ln)
+                edges.append(RatingEdge(rec["r"], rec["p"], float(rec["v"]),
+                                        int(rec["t"]), float(rec["s"])))
+        return cls(edges, max_value=max_value, epoch=epoch)
 
     @classmethod
     def load(cls, path) -> "RatingGraph":
@@ -204,19 +216,16 @@ class RatingGraph:
 
 @dataclass(frozen=True)
 class Biclique:
-    """A complete reviewer x product rectangle with its rating edges.
+    """A complete reviewer x product rectangle of a rating graph.
 
-    Identity (equality, hashing, ordering) is the pair of sorted id tuples;
-    the edge grid is carried along for indicator computation.
+    Identity (equality, hashing, ordering) is the pair of sorted id tuples.
+    The group keeps a reference to the graph it was checked against and
+    reads its ratings from there; it holds no copy of them.
     """
 
     reviewers: tuple[str, ...]
     products: tuple[str, ...]
-    edges: tuple[RatingEdge, ...] = field(compare=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.edges) != len(self.reviewers) * len(self.products):
-            raise ValueError("edge grid does not match the id sets")
+    graph: RatingGraph = field(compare=False, repr=False)
 
     @classmethod
     def from_graph(cls, reviewers: Iterable[str], products: Iterable[str],
@@ -226,34 +235,40 @@ class Biclique:
         ps = tuple(sorted(set(products)))
         if not rs or not ps:
             raise ValueError("a biclique needs at least one reviewer and one product")
-        grid = []
         for r in rs:
+            row = graph._by_reviewer.get(r, {})
             for p in ps:
-                try:
-                    grid.append(graph.edge(r, p))
-                except KeyError:
-                    raise MissingEdge(r, p) from None
-        return cls(rs, ps, tuple(grid))
+                if p not in row:
+                    raise MissingEdge(r, p)
+        return cls(rs, ps, graph)
 
     @property
     def key(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         return (self.reviewers, self.products)
 
+    @property
+    def edges(self) -> tuple[RatingEdge, ...]:
+        """The group's ratings, row by row (reviewer-major)."""
+        rows = self.graph._by_reviewer
+        return tuple(rows[r][p] for r in self.reviewers for p in self.products)
+
     def edge(self, reviewer: str, product: str) -> RatingEdge:
-        i = self.reviewers.index(reviewer)
-        j = self.products.index(product)
-        return self.edges[i * len(self.products) + j]
+        if reviewer not in self.reviewers or product not in self.products:
+            raise ValueError(f"({reviewer!r}, {product!r}) is outside this group")
+        return self.graph.edge(reviewer, product)
 
     def values_of(self, reviewer: str) -> tuple[float, ...]:
         """The reviewer's rating vector over this group's products."""
-        i = self.reviewers.index(reviewer)
-        w = len(self.products)
-        return tuple(e.value for e in self.edges[i * w:(i + 1) * w])
+        if reviewer not in self.reviewers:
+            raise ValueError(f"reviewer {reviewer!r} is outside this group")
+        row = self.graph._by_reviewer[reviewer]
+        return tuple(row[p].value for p in self.products)
 
     def edges_on(self, product: str) -> tuple[RatingEdge, ...]:
-        j = self.products.index(product)
-        w = len(self.products)
-        return tuple(self.edges[i * w + j] for i in range(len(self.reviewers)))
+        if product not in self.products:
+            raise ValueError(f"product {product!r} is outside this group")
+        col = self.graph._by_product[product]
+        return tuple(col[r] for r in self.reviewers)
 
     def to_dict(self) -> dict:
         return {"reviewers": list(self.reviewers), "products": list(self.products)}

@@ -305,10 +305,8 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
     floor = ast.doc_min if ast.doc_min is not None else config.delta
 
     warnings: list[str] = []
-    known_products = set(graph.products)
-    known_reviewers = set(graph.reviewers)
-    for ids, known, side in ((ast.on or (), known_products, "product"),
-                             (ast.contains or (), known_reviewers, "reviewer")):
+    for ids, known, side in ((ast.on or (), graph.products, "product"),
+                             (ast.contains or (), graph.reviewers, "reviewer")):
         for ident in ids:
             if ident not in known:
                 message = f"unknown {side} id {ident!r}"

@@ -303,6 +303,59 @@ class TestExitCodes:
         assert res.exit_code == 2
 
 
+def _without(record: dict, field: str) -> dict:
+    return {k: v for k, v in record.items() if k != field}
+
+
+# Each malformed input: the file, the JSONL line edited (None: the whole JSON
+# document), the edit, the command that reads the file, and the error text.
+MALFORMED = {
+    "snapshot-header-without-max_value":
+        ("graph", 0, lambda h: _without(h, "max_value"), "detect", "'max_value'"),
+    "snapshot-edge-without-t":
+        ("graph", 1, lambda e: _without(e, "t"), "mine", "'t'"),
+    "candidate-without-products":
+        ("cands", 0, lambda row: _without(row, "products"), "indicators", "'products'"),
+    "result-without-scored":
+        ("result", None, lambda r: _without(r, "scored"), "query", "'scored'"),
+    "result-not-an-object":
+        ("result", None, lambda r: [r], "query", "JSON object"),
+    "scored-row-without-gts":
+        ("scored", 0, lambda row: _without(row, "gts"), "stats", "'gts'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_file_exits_3_with_an_error_line(runner, tmp_path, case):
+    _, _, graph = seed_pipeline(runner, tmp_path)
+    paths = {"graph": graph, "cands": tmp_path / "c.jsonl",
+             "scored": tmp_path / "s.jsonl", "result": tmp_path / "r.json"}
+    commands = {
+        "mine": ["mine", "--graph", str(graph), "--out", str(paths["cands"])],
+        "indicators": ["indicators", "--graph", str(graph), "--candidates",
+                       str(paths["cands"]), "--out", str(paths["scored"])],
+        "detect": ["detect", "--graph", str(graph), "--out", str(paths["result"]),
+                   "--report", "csv"],
+        "query": ["query", "--graph", str(graph), "--result", str(paths["result"]),
+                  "-e", "getbicliques();"],
+        "stats": ["stats", "--scored", str(paths["scored"])],
+    }
+    for name in ("mine", "indicators", "detect", "query", "stats"):
+        assert run(runner, *commands[name]).exit_code == 0, name
+    kind, line, edit, command, text = MALFORMED[case]
+    path = paths[kind]
+    if line is None:
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    else:
+        lines = path.read_text().splitlines()
+        lines[line] = json.dumps(edit(json.loads(lines[line])))
+        path.write_text("\n".join(lines) + "\n")
+    res = runner.invoke(cli, commands[command])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "error:" in res.output and text in res.output
+
+
 class TestRepl:
     def test_repl_session(self, runner, tmp_path):
         _, _, graph = seed_pipeline(runner, tmp_path)

@@ -109,7 +109,7 @@ class TestFindSubBicliques:
     def test_homogeneous_parent_yields_nothing_new(self):
         g = grid_graph(["r1", "r2", "r3"], ["p1", "p2", "p3"], value=5.0, time=3)
         parent = Biclique.from_graph(g.reviewers, g.products, g)
-        assert find_sub_bicliques(parent, g, self.config()) == []
+        assert find_sub_bicliques(parent, self.config()) == []
 
     def test_planted_trio_recovered_exactly(self):
         rows = []
@@ -122,7 +122,7 @@ class TestFindSubBicliques:
                 rows.append((r, p, ((v + 2 * i - 1) % 5) + 1, t + 7 * i))
         g = make_graph(rows)
         parent = Biclique.from_graph(g.reviewers, g.products, g)
-        got = find_sub_bicliques(parent, g, self.config())
+        got = find_sub_bicliques(parent, self.config())
         assert [b.key for b in got] == [(("r1", "r2", "r3"), ("p1", "p2", "p3"))]
 
     def test_emitted_groups_pass_oracle_screen(self):
@@ -131,7 +131,7 @@ class TestFindSubBicliques:
         for _ in range(40):
             g = random_graph(rng, 5, 4, 1.0, days=90)
             parent = Biclique.from_graph(g.reviewers, g.products, g)
-            got = find_sub_bicliques(parent, g, cfg)
+            got = find_sub_bicliques(parent, cfg)
             passing = oracle_passing_subrectangles(g, parent, 2, 3, 0.4, 30)
             for b in got:
                 assert b.key != parent.key
@@ -141,10 +141,10 @@ class TestFindSubBicliques:
     def test_small_parent_has_no_room(self):
         g = grid_graph(["r1", "r2"], ["p1", "p2", "p3"], value=5.0)
         parent = Biclique.from_graph(g.reviewers, g.products, g)
-        assert find_sub_bicliques(parent, g, self.config()) == []
+        assert find_sub_bicliques(parent, self.config()) == []
 
     def test_budget_cap_respected(self):
         g = grid_graph([f"r{i}" for i in range(5)], [f"p{j}" for j in range(4)])
         parent = Biclique.from_graph(g.reviewers, g.products, g)
         with pytest.raises(BudgetExceeded):
-            find_sub_bicliques(parent, g, self.config(candidate_cap=30))
+            find_sub_bicliques(parent, self.config(candidate_cap=30))

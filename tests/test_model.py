@@ -70,6 +70,20 @@ def test_biclique_canonical_identity():
     assert a.values_of("u2") == (3.0, 2.0)
     assert a.edge("u1", "p2").value == 4.0
     assert [e.reviewer for e in a.edges_on("p1")] == ["u1", "u2"]
+    assert a.edges == (g.edge("u1", "p1"), g.edge("u1", "p2"),
+                       g.edge("u2", "p1"), g.edge("u2", "p2"))
+
+
+def test_biclique_accessors_reject_ids_outside_the_group():
+    g = make_graph([("u1", "p1", 5, 0), ("u1", "p2", 4, 0),
+                    ("u2", "p1", 3, 0), ("u2", "p2", 2, 0)])
+    b = Biclique.from_graph(["u1"], ["p1"], g)
+    assert b.graph is g
+    # u2 and p2 are in the graph, but not in the group
+    for call in (lambda: b.edge("u2", "p1"), lambda: b.edge("u1", "p2"),
+                 lambda: b.values_of("u2"), lambda: b.edges_on("p2")):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_snapshot_round_trip_is_byte_identical(tmp_path):
