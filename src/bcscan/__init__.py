@@ -17,7 +17,7 @@ from .indicators import (GroupTooSmall, SuspiciousnessTable, build_suspiciousnes
                          group_time_similarity, group_value_similarity,
                          pairwise_value_similarity, product_time_window)
 from .detector import (DetectionResult, damaging_impact, degree_of_collusiveness,
-                       detect, rank_report, score_cohort)
+                       detect, score_cohort)
 from .query import (QueryAst, QueryResult, QuerySemanticError, QuerySyntaxError,
                     UnknownId, evaluate, parse, pretty)
 from .synth import (AttackScript, InfeasibleScript, LabeledDataset, Metric,

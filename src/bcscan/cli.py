@@ -8,9 +8,11 @@ or a detection result whose "config" echo is reused), for ``query`` the
 config echo of its --result, then built-in defaults. ``detect`` echoes the
 rating scale of the graph snapshot it reads.
 
+Every --out takes a file path, or "-" for stdout.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage or query syntax error,
 3 semantic error (bad weights, bad config, unknown ids under --strict-ids, a
-malformed snapshot, result or candidate file).
+malformed snapshot, result, candidate, scored or truth file).
 """
 
 from __future__ import annotations
@@ -21,17 +23,18 @@ import io
 import json
 import logging
 import sys
+from contextlib import nullcontext
 
 import click
 
 from . import __version__
 from .model import (BadWeights, BcscanError, Biclique, DetectionConfig,
-                    IndicatorReport, RatingGraph, fields_of, scored_row,
-                    validate_weights)
+                    IndicatorReport, RatingGraph, fields_of, json_objects,
+                    read_json_lines, scored_row, validate_weights)
 from . import ingest as ingest_mod
 from .indicators import cumulative_distribution
 from .mining import enumerate_candidates
-from .detector import DetectionResult, detect, rank_report, route, score_cohort
+from .detector import DetectionResult, detect, route, score_cohort
 from .query import (QuerySemanticError, QuerySyntaxError, UnknownId,
                     evaluate, parse)
 from .synth import (AttackScript, LabeledDataset, TruthGroup, generate,
@@ -140,6 +143,7 @@ _SYNTH_PRUNE = {"prune_reviewer_min": 1, "prune_product_min": 1}
 
 
 def _echo_out(text: str, out: str | None):
+    """Write text to the file ``out``, or to stdout for "-" or None."""
     if out and out != "-":
         with open(out, "w", encoding="utf-8") as fp:
             fp.write(text)
@@ -147,16 +151,43 @@ def _echo_out(text: str, out: str | None):
         click.echo(text, nl=False)
 
 
-def _read_jsonl(path: str) -> list[dict]:
+def _write_json(data, out: str):
+    """Write ``data`` as indented, key-sorted JSON plus a newline to the file
+    ``out``, or to stdout for "-". It is streamed: a whole detection result
+    is never held as one string."""
+    with (nullcontext(sys.stdout) if out == "-"
+          else open(out, "w", encoding="utf-8")) as fp:
+        json.dump(data, fp, indent=2, sort_keys=True)
+        fp.write("\n")
+        fp.flush()  # before click.echo writes to stdout again
+
+
+def _csv(header: list | None, rows) -> str:
+    """CSV text: the header row, if any, then the rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header:
+        writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _jsonl(records) -> str:
+    """One compact, key-sorted JSON object per line."""
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                   for r in records)
+
+
+def _read_jsonl(path: str, kind: str) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fp:
-        return [json.loads(line) for line in fp if line.strip()]
+        return list(read_json_lines(fp, kind))
 
 
 def _load_candidates(path: str, graph: RatingGraph) -> list[Biclique]:
     """The groups of a candidate JSONL, one per key."""
     with fields_of("candidate file"):
         groups = [Biclique.from_graph(row["reviewers"], row["products"], graph)
-                  for row in _read_jsonl(path)]
+                  for row in _read_jsonl(path, "candidate file")]
     return list({b.key: b for b in groups}.values())
 
 
@@ -177,7 +208,8 @@ def cli(verbose: int):
               show_default=True, help="Log line format.")
 @_settings("prune_reviewer_min", "prune_product_min", "max_value", config_file=False)
 @click.option("--strict", is_flag=True, help="Fail on the first malformed line.")
-@click.option("--out", type=click.Path(), required=True, help="Graph snapshot path.")
+@click.option("--out", type=click.Path(), required=True,
+              help="Graph snapshot path (- for stdout).")
 @_guarded
 def ingest(input_path, fmt, strict, out, **overrides):
     """Parse, prune and collapse a raw log into a graph snapshot."""
@@ -188,7 +220,10 @@ def ingest(input_path, fmt, strict, out, **overrides):
     for err in errors:
         click.echo(f"warning: {err}", err=True)
     graph = ingest_mod.ingest_ratings(records, config)
-    graph.save(out)
+    if out == "-":
+        _echo_out(graph.snapshot(), out)
+    else:
+        graph.save(out)
     click.echo(f"ingested {len(records)} ratings -> {len(graph)} edges, "
                f"{len(graph.reviewers)} reviewers, {len(graph.products)} products",
                err=True)
@@ -206,9 +241,7 @@ def mine(graph_path, config_path, out, **overrides):
     graph = RatingGraph.load(graph_path)
     candidates = enumerate_candidates(graph, config.min_r, config.min_p,
                                       config.candidate_cap)
-    lines = [json.dumps(b.to_dict(), sort_keys=True, separators=(",", ":"))
-             for b in candidates]
-    _echo_out("".join(line + "\n" for line in lines), out)
+    _echo_out(_jsonl(b.to_dict() for b in candidates), out)
     click.echo(f"mined {len(candidates)} candidate group(s)", err=True)
 
 
@@ -226,39 +259,37 @@ def indicators(graph_path, candidates_path, config_path, out, **overrides):
     graph = RatingGraph.load(graph_path)
     cohort = _load_candidates(candidates_path, graph)
     scored = score_cohort(graph, cohort, config)
-    lines = [json.dumps(scored_row(b, rep), sort_keys=True, separators=(",", ":"))
-             for b, rep in scored]
-    _echo_out("".join(line + "\n" for line in lines), out)
+    _echo_out(_jsonl(scored_row(b, rep) for b, rep in scored), out)
     click.echo(f"scored {len(scored)} group(s)", err=True)
 
 
+# The detect reports number the scored groups from 1 in canonical order and
+# show each one's route: a "dangerous" group still deserves an analyst's eye.
+
 def _report_table(result: DetectionResult) -> str:
-    rows = rank_report(result)
+    delta = result.config.delta
     out = io.StringIO()
     out.write(f"{'id':>4}  {'doc':>7}  {'di':>7}  {'status':<10}  members -> products\n")
-    for row in rows:
-        out.write(f"{row.group_id:>4}  {row.doc:>7.4f}  {row.di:>7.4f}  "
-                  f"{row.status:<10}  {','.join(row.reviewers)} -> "
-                  f"{','.join(row.products)}\n")
+    for i, (b, rep) in enumerate(result.scored, 1):
+        out.write(f"{i:>4}  {rep.doc:>7.4f}  {rep.di:>7.4f}  "
+                  f"{route(rep, delta):<10}  {','.join(b.reviewers)} -> "
+                  f"{','.join(b.products)}\n")
     return out.getvalue()
 
 
 def _report_csv(result: DetectionResult) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["group_id", "reviewers", "products", "doc", "di", "status"])
-    for row in rank_report(result):
-        writer.writerow([row.group_id, " ".join(row.reviewers),
-                         " ".join(row.products),
-                         repr(row.doc), repr(row.di), row.status])
-    return out.getvalue()
+    delta = result.config.delta
+    return _csv(["group_id", "reviewers", "products", "doc", "di", "status"],
+                ([i, " ".join(b.reviewers), " ".join(b.products),
+                  repr(rep.doc), repr(rep.di), route(rep, delta)]
+                 for i, (b, rep) in enumerate(result.scored, 1)))
 
 
 @cli.command(name="detect")
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @_settings("delta", "weights", "max_tw", "min_r", "min_p", "candidate_cap")
 @click.option("--out", type=click.Path(), default=None,
-              help="Full result JSON path.")
+              help="Full result JSON path (- for stdout).")
 @click.option("--report", type=click.Choice(["table", "json", "csv"]),
               default="table", show_default=True, help="Stdout report format.")
 @_guarded
@@ -268,23 +299,22 @@ def detect_cmd(graph_path, config_path, out, report, **overrides):
     config = _build_config(config_path, max_value=graph.max_value, **overrides)
     result = detect(graph, config)
     if out:
-        with open(out, "w", encoding="utf-8") as fp:
-            json.dump(result.to_dict(), fp, indent=2, sort_keys=True)
-            fp.write("\n")
-    if report == "table":
-        click.echo(_report_table(result), nl=False)
+        _write_json(result.to_dict(), out)
+    if report == "json":
+        _write_json(result.to_dict(), "-")
     elif report == "csv":
-        click.echo(_report_csv(result), nl=False)
+        _echo_out(_report_csv(result), None)
     else:
-        click.echo(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+        _echo_out(_report_table(result), None)
     click.echo(f"examined {result.examined_count} group(s), "
                f"expanded {result.expanded_count}, "
                f"flagged {len(result.collusive)} collusive", err=True)
 
 
-def _render_query_result(res, as_json: bool) -> str:
+def _show_query_result(res, as_json: bool):
     if as_json:
-        return json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\n"
+        _write_json(res.to_dict(), "-")
+        return
     out = io.StringIO()
     for warning in res.warnings:
         out.write(f"warning: {warning}\n")
@@ -299,7 +329,7 @@ def _render_query_result(res, as_json: bool) -> str:
             out.write(ident + "\n")
         if not res.ids:
             out.write(f"no matching {res.projection}\n")
-    return out.getvalue()
+    _echo_out(out.getvalue(), None)
 
 
 @cli.command(name="query")
@@ -335,9 +365,8 @@ def query_cmd(graph_path, result_path, config_path, query_text, repl, as_json,
     if cache is None:
         cache = detect(graph, config)
     if query_text is not None:
-        res = evaluate(parse(query_text), graph, config, cache=cache,
-                       strict=strict_ids)
-        click.echo(_render_query_result(res, as_json), nl=False)
+        _show_query_result(evaluate(parse(query_text), graph, config, cache=cache,
+                                    strict=strict_ids), as_json)
     if repl:
         _run_repl(graph, config, cache, as_json, strict_ids)
 
@@ -372,7 +401,7 @@ def _run_repl(graph, config, cache, as_json, strict_ids):
         except (QuerySemanticError, UnknownId, BadWeights) as exc:
             click.echo(f"semantic error: {exc}", err=True)
             continue
-        click.echo(_render_query_result(res, as_json), nl=False)
+        _show_query_result(res, as_json)
 
 
 @cli.command()
@@ -386,16 +415,13 @@ def stats(scored_path, out, **overrides):
     """Cumulative distribution of every indicator over scored groups."""
     delta = _build_config(None, **overrides).delta
     with fields_of("scored file"):
-        reports = [IndicatorReport.from_dict(row) for row in _read_jsonl(scored_path)]
+        reports = [IndicatorReport.from_dict(row)
+                   for row in _read_jsonl(scored_path, "scored file")]
     labels = ["collusive" if route(rep, delta) == "collusive" else "other"
               for rep in reports]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["indicator", "label", "value", "cumulative"])
-    for point in cumulative_distribution(reports, labels):
-        writer.writerow([point.indicator, point.label,
-                         repr(point.value), repr(point.cumulative)])
-    _echo_out(buf.getvalue(), out)
+    _echo_out(_csv(["indicator", "label", "value", "cumulative"],
+                   ([p.indicator, p.label, repr(p.value), repr(p.cumulative)]
+                    for p in cumulative_distribution(reports, labels))), out)
 
 
 @cli.group()
@@ -436,9 +462,10 @@ def _parse_attack(text: str) -> AttackScript:
               help='Repeatable, e.g. "size=5,targets=4,mode=promote,span=2,dup=0.2,camo=0.3".')
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-value", type=float, default=5.0, show_default=True)
-@click.option("--out", type=click.Path(), required=True, help="Rating CSV path.")
+@click.option("--out", type=click.Path(), required=True,
+              help="Rating CSV path (- for stdout).")
 @click.option("--truth", "truth_path", type=click.Path(), default=None,
-              help="Ground-truth JSON path.")
+              help="Ground-truth JSON path (- for stdout).")
 @_guarded
 def synth_generate(honest, products, density, attack_specs, seed, max_value,
                    out, truth_path):
@@ -446,17 +473,11 @@ def synth_generate(honest, products, density, attack_specs, seed, max_value,
     attacks = [_parse_attack(spec) for spec in attack_specs]
     dataset = generate(honest, products, density, attacks, seed=seed,
                        max_value=max_value)
-    with open(out, "w", encoding="utf-8") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        for rr in dataset.raw:
-            writer.writerow([rr.reviewer, rr.product, repr(rr.value),
-                             rr.date.isoformat()])
+    _echo_out(_csv(None, ([rr.reviewer, rr.product, repr(rr.value),
+                           rr.date.isoformat()] for rr in dataset.raw)), out)
     if truth_path:
-        with open(truth_path, "w", encoding="utf-8") as fp:
-            json.dump([{"reviewers": sorted(t.reviewers),
-                        "products": sorted(t.products)} for t in dataset.truth],
-                      fp, indent=2, sort_keys=True)
-            fp.write("\n")
+        _write_json([{"reviewers": sorted(t.reviewers), "products": sorted(t.products)}
+                     for t in dataset.truth], truth_path)
     click.echo(f"wrote {len(dataset.raw)} ratings, {len(dataset.truth)} planted "
                f"group(s)", err=True)
 
@@ -500,20 +521,16 @@ def synth_eval(data_path, truth_path, deltas, config_path, out, **overrides):
                                                max_value=config.max_value)
     if errors:
         raise ValueError(f"{len(errors)} malformed line(s) in {data_path}")
-    with open(truth_path, "r", encoding="utf-8") as fp:
+    with open(truth_path, "r", encoding="utf-8") as fp, fields_of("truth file"):
         truth = tuple(TruthGroup(frozenset(t["reviewers"]), frozenset(t["products"]))
-                      for t in json.load(fp))
+                      for t in json_objects(json.load(fp), "truth file row"))
     dataset = LabeledDataset(tuple(records), truth, config.max_value)
     points = threshold_sweep(dataset, config, _parse_deltas(deltas))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["delta", "precision", "precision_vacuous",
-                     "recall", "recall_vacuous", "retrieved"])
-    for pt in points:
-        writer.writerow([repr(pt.delta), repr(pt.precision.value),
-                         int(pt.precision.vacuous), repr(pt.recall.value),
-                         int(pt.recall.vacuous), pt.retrieved])
-    _echo_out(buf.getvalue(), out)
+    _echo_out(_csv(["delta", "precision", "precision_vacuous",
+                    "recall", "recall_vacuous", "retrieved"],
+                   ([repr(pt.delta), repr(pt.precision.value),
+                     int(pt.precision.vacuous), repr(pt.recall.value),
+                     int(pt.recall.vacuous), pt.retrieved] for pt in points)), out)
 
 
 def main(argv=None):

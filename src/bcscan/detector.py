@@ -7,10 +7,10 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from math import fsum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import (Biclique, DetectionConfig, IndicatorReport, RatingGraph,
-                    fields_of, scored_row, validate_weights)
+                    fields_of, json_objects, scored_row, validate_weights)
 from .indicators import (SuspiciousnessTable, build_suspiciousness,
                          group_member_suspiciousness, group_rating_spamicity,
                          group_time_similarity, group_value_similarity)
@@ -86,17 +86,19 @@ class DetectionResult:
 
     @classmethod
     def from_dict(cls, data: Mapping, graph: RatingGraph) -> "DetectionResult":
-        """Load a result; ValueError if it is not a JSON object with every
-        field, or if its collusive list is not derived."""
+        """Load a result; ValueError if it or one of its rows is not a JSON
+        object with every field, or if its collusive list is not derived."""
         if not isinstance(data, Mapping):
             raise ValueError("a result must be a JSON object")
         with fields_of("result"):
             scored = tuple((Biclique.from_graph(row["reviewers"], row["products"], graph),
-                            IndicatorReport.from_dict(row)) for row in data["scored"])
+                            IndicatorReport.from_dict(row))
+                           for row in json_objects(data["scored"], "result scored row"))
             result = cls(scored, int(data["expanded_count"]),
                          DetectionConfig.from_dict(data["config"]))
             listed = [(tuple(sorted(set(row["reviewers"]))),
-                       tuple(sorted(set(row["products"])))) for row in data["collusive"]]
+                       tuple(sorted(set(row["products"]))))
+                      for row in json_objects(data["collusive"], "result collusive row")]
         if listed != [b.key for b, _ in result.collusive]:
             raise ValueError("the result's collusive list does not match its "
                              "scored groups above delta")
@@ -178,25 +180,3 @@ def detect(graph: RatingGraph, config: DetectionConfig | None = None) -> Detecti
 
     examined.sort(key=lambda br: br[0].key)
     return DetectionResult(tuple(examined), expanded, config)
-
-
-class ReportRow(NamedTuple):
-    group_id: int
-    reviewers: tuple[str, ...]
-    products: tuple[str, ...]
-    doc: float
-    di: float
-    status: str
-
-
-def rank_report(result: DetectionResult) -> list[ReportRow]:
-    """Flatten a detection result into display rows.
-
-    Groups are numbered in canonical order. Status is "collusive" above the
-    DOC threshold, "dangerous" when only the damaging impact is at least
-    delta, and "clear" otherwise: a low-DOC group with a big footprint still
-    deserves an analyst's eye.
-    """
-    delta = result.config.delta
-    return [ReportRow(i, b.reviewers, b.products, rep.doc, rep.di, route(rep, delta))
-            for i, (b, rep) in enumerate(result.scored, start=1)]

@@ -151,15 +151,12 @@ class CumulativePoint(NamedTuple):
 
 
 def cumulative_distribution(reports: Sequence[IndicatorReport],
-                            labels: Sequence[str] | None = None,
-                            ) -> list[CumulativePoint]:
+                            labels: Sequence[str]) -> list[CumulativePoint]:
     """Cumulative-distribution points per indicator, split by label.
 
     For each (indicator, label) series the values are sorted ascending and
     paired with their cumulative share, ready for plotting or CSV export.
     """
-    if labels is None:
-        labels = ["all"] * len(reports)
     if len(labels) != len(reports):
         raise ValueError("labels must align with reports")
     points: list[CumulativePoint] = []

@@ -82,8 +82,6 @@ def parse_log(lines: Iterable[str], fmt: str = "csv",
             if not 1.0 <= value <= max_value:
                 raise ValueError(f"value {value!r} outside [1, {max_value}]")
             when = date.fromisoformat(date_s)
-        except ParseError:
-            raise
         except Exception as exc:
             fail(line_no, str(exc))
             continue

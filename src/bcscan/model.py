@@ -57,6 +57,28 @@ def validate_weights(weights: Iterable[float]) -> tuple[float, float, float, flo
     return ws
 
 
+def json_objects(rows: list, kind: str) -> Iterator[dict]:
+    """Each row of a JSON list, checked to be a JSON object: ValueError
+    "<kind> N is not a JSON object" (N counted from 1) otherwise."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{kind}s are not in a JSON list")
+    for n, row in enumerate(rows, 1):
+        if not isinstance(row, dict):
+            raise ValueError(f"{kind} {n} is not a JSON object")
+        yield row
+
+
+def read_json_lines(lines: Iterable[str], kind: str) -> Iterator[dict]:
+    """The JSON object on each non-blank line: ValueError "<kind> line N is
+    not a JSON object" (N the line number) for any other JSON value."""
+    for n, line in enumerate(lines, 1):
+        if line.strip():
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"{kind} line {n} is not a JSON object")
+            yield record
+
+
 @contextmanager
 def fields_of(kind: str):
     """Report a record field missing inside the block as a ValueError that
@@ -194,16 +216,15 @@ class RatingGraph:
 
     @classmethod
     def loads(cls, text: str) -> "RatingGraph":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+        records = read_json_lines(text.splitlines(), "snapshot")
+        header = next(records, None)
+        if header is None:
             raise ValueError("empty snapshot: header line missing")
-        header = json.loads(lines[0])
         epoch = date.fromisoformat(header["epoch"]) if header.get("epoch") else None
         edges = []
         with fields_of("snapshot"):
             max_value = float(header["max_value"])
-            for ln in lines[1:]:
-                rec = json.loads(ln)
+            for rec in records:
                 edges.append(RatingEdge(rec["r"], rec["p"], float(rec["v"]),
                                         int(rec["t"]), float(rec["s"])))
         return cls(edges, max_value=max_value, epoch=epoch)
@@ -218,7 +239,8 @@ class RatingGraph:
 class Biclique:
     """A complete reviewer x product rectangle of a rating graph.
 
-    Identity (equality, hashing, ordering) is the pair of sorted id tuples.
+    Identity (equality and hashing) is the pair of sorted id tuples, which
+    ``key`` returns; groups are sorted by ``key``, not compared directly.
     The group keeps a reference to the graph it was checked against and
     reads its ratings from there; it holds no copy of them.
     """

@@ -95,6 +95,12 @@ def _lex(text: str) -> list[_Token]:
 
 _PROJECTIONS = {"products": "products", "product": "products",
                 "reviewers": "reviewers", "reviewer": "reviewers"}
+_ANY_PROJECTION = " or ".join(map(repr, _PROJECTIONS))
+# filter clause word -> the QueryAst field it sets
+_CLAUSES = {"on": "on", "contains": "contains", "contain": "contains", "DOC": "doc_min"}
+
+_IDENT, _NUMBER, _PUNCT = ("ident",), ("number",), ("punct",)
+_ID = ("ident", "string", "number")
 
 
 class _Parser:
@@ -102,138 +108,92 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> _Token:
+    def take(self, kinds: tuple[str, ...], want: str | None,
+             texts: Sequence[str] = ()) -> _Token | None:
+        """Consume the next token if its kind is in ``kinds`` and, when
+        ``texts`` is given, its text is in ``texts`` (words, or a string of
+        punctuation characters). Otherwise return None, or raise "expected
+        <want>, found ..." when ``want`` names what belongs here."""
         tok = self.tokens[self.i]
-        if tok.kind != "end":
+        if tok.kind in kinds and (not texts or tok.text in texts):
             self.i += 1
-        return tok
+            return tok
+        if want is None:
+            return None
+        raise QuerySyntaxError(f"expected {want}, found {tok.text or 'end of input'!r}",
+                               tok.pos)
 
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "punct" or tok.text != ch:
-            raise QuerySyntaxError(f"expected {ch!r}, found {tok.text or 'end of input'!r}",
-                                   tok.pos)
-        return tok
-
-    def expect_ident(self, *names: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "ident" or (names and tok.text not in names):
-            want = " or ".join(repr(n) for n in names) if names else "an identifier"
-            raise QuerySyntaxError(f"expected {want}, found {tok.text or 'end of input'!r}",
-                                   tok.pos)
-        return tok
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == ch
+    def items(self, kinds: tuple[str, ...], want: str) -> list[str]:
+        """The texts of a comma-separated list of one or more tokens."""
+        texts = [self.take(kinds, want).text]
+        while self.take(_PUNCT, None, ","):
+            texts.append(self.take(kinds, want).text)
+        return texts
 
     # -- grammar ----------------------------------------------------------
 
     def parse_query(self) -> QueryAst:
-        self.expect_ident("getbicliques")
+        take = self.take
+        take(_IDENT, "'getbicliques'", ("getbicliques",))
         projection = "bicliques"
-        if self.at_punct("."):
-            self.next()
-            tok = self.expect_ident(*_PROJECTIONS)
+        if take(_PUNCT, None, "."):
+            tok = take(_IDENT, _ANY_PROJECTION, _PROJECTIONS)
             projection = _PROJECTIONS[tok.text]
-        self.expect_punct("(")
+        take(_PUNCT, "'('", "(")
         weights = None
-        if not self.at_punct(")"):
-            weights = self.parse_weights()
-        self.expect_punct(")")
-        # tolerate one semicolon before a filter block
-        if (self.at_punct(";") and self.peek(1).kind == "ident"
-                and self.peek(1).text == "filter"):
-            self.next()
-        on = contains = doc_min = None
-        if self.peek().kind == "ident" and self.peek().text == "filter":
-            on, contains, doc_min = self.parse_filter()
-        self.expect_punct(";")
-        tail = self.peek()
+        if not take(_PUNCT, None, ")"):
+            weights = self.items(_NUMBER, "a number")
+            if len(weights) != 4:
+                raise QuerySyntaxError(f"expected 4 weights, found {len(weights)}",
+                                       self.tokens[self.i].pos)
+            take(_PUNCT, "')'", ")")
+        # one semicolon is tolerated before a filter block
+        semicolon = take(_PUNCT, None, ";")
+        clauses = self.parse_filter() if take(_IDENT, None, ("filter",)) else {}
+        if clauses or not semicolon:
+            take(_PUNCT, "';'", ";")
+        tail = self.tokens[self.i]
         if tail.kind != "end":
             raise QuerySyntaxError(f"trailing input {tail.text!r}", tail.pos)
-        return QueryAst(projection, weights, on, contains, doc_min)
+        # the semantic checks follow every syntax check
+        if weights is not None:
+            try:
+                weights = validate_weights(map(float, weights))
+            except BadWeights as exc:
+                raise QuerySemanticError(str(exc)) from exc
+        doc_min = clauses.get("doc_min")
+        if doc_min is not None and not 0.0 <= doc_min <= 1.0:
+            raise QuerySemanticError(f"DOC threshold {doc_min} outside [0, 1]")
+        return QueryAst(projection, weights, **clauses)
 
-    def parse_weights(self) -> tuple[float, float, float, float]:
-        values = [self.parse_number()]
-        while self.at_punct(","):
-            self.next()
-            values.append(self.parse_number())
-        if len(values) != 4:
-            raise QuerySyntaxError(f"expected 4 weights, found {len(values)}",
-                                   self.peek().pos)
-        return tuple(values)
-
-    def parse_number(self) -> float:
-        tok = self.next()
-        if tok.kind != "number":
-            raise QuerySyntaxError(f"expected a number, found {tok.text or 'end of input'!r}",
-                                   tok.pos)
-        return float(tok.text)
-
-    def parse_filter(self):
-        self.expect_ident("filter")
-        self.expect_punct("{")
-        on = contains = doc_min = None
-        while not self.at_punct("}"):
-            tok = self.next()
-            if tok.kind != "ident" or tok.text not in ("on", "contains", "contain", "DOC"):
-                raise QuerySyntaxError(
-                    f"expected a filter clause, found {tok.text or 'end of input'!r}",
-                    tok.pos)
-            if tok.text == "DOC":
-                self.expect_punct(">")
-                value = self.parse_number()
-                if doc_min is not None:
-                    raise QuerySemanticError("duplicate DOC clause")
-                doc_min = value
+    def parse_filter(self) -> dict:
+        """The clauses of a filter block, by QueryAst field."""
+        take = self.take
+        take(_PUNCT, "'{'", "{")
+        clauses = {}
+        while not take(_PUNCT, None, "}"):
+            word = take(_IDENT, "a filter clause", _CLAUSES).text
+            if word == "DOC":
+                take(_PUNCT, "'>'", ">")
+                value = float(take(_NUMBER, "a number").text)
             else:
-                ids = self.parse_ids()
-                if tok.text == "on":
-                    if on is not None:
-                        raise QuerySemanticError("duplicate on(...) clause")
-                    on = ids
-                else:
-                    if contains is not None:
-                        raise QuerySemanticError("duplicate contains(...) clause")
-                    contains = ids
-            self.expect_punct(";")
-        self.expect_punct("}")
-        if on is None and contains is None and doc_min is None:
-            raise QuerySyntaxError("empty filter block", self.peek().pos)
-        return on, contains, doc_min
-
-    def parse_ids(self) -> tuple[str, ...]:
-        self.expect_punct("(")
-        ids = [self.parse_id()]
-        while self.at_punct(","):
-            self.next()
-            ids.append(self.parse_id())
-        self.expect_punct(")")
-        return tuple(ids)
-
-    def parse_id(self) -> str:
-        tok = self.next()
-        if tok.kind not in ("ident", "string", "number"):
-            raise QuerySyntaxError(f"expected an id, found {tok.text or 'end of input'!r}",
-                                   tok.pos)
-        return tok.text
+                take(_PUNCT, "'('", "(")
+                value = tuple(self.items(_ID, "an id"))
+                take(_PUNCT, "')'", ")")
+            field = _CLAUSES[word]
+            if field in clauses:
+                label = "DOC" if word == "DOC" else f"{field}(...)"
+                raise QuerySemanticError(f"duplicate {label} clause")
+            clauses[field] = value
+            take(_PUNCT, "';'", ";")
+        if not clauses:
+            raise QuerySyntaxError("empty filter block", self.tokens[self.i].pos)
+        return clauses
 
 
 def parse(text: str) -> QueryAst:
     """Parse query text into an AST, then check its semantics."""
-    ast = _Parser(_lex(text)).parse_query()
-    if ast.weights is not None:
-        try:
-            ast = replace(ast, weights=validate_weights(ast.weights))
-        except BadWeights as exc:
-            raise QuerySemanticError(str(exc)) from exc
-    if ast.doc_min is not None and not 0.0 <= ast.doc_min <= 1.0:
-        raise QuerySemanticError(f"DOC threshold {ast.doc_min} outside [0, 1]")
-    return ast
+    return _Parser(_lex(text)).parse_query()
 
 
 def _format_number(x: float) -> str:

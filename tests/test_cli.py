@@ -8,6 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from bcscan.cli import cli
+from bcscan.detector import DetectionResult, route
+from bcscan.model import RatingGraph
 
 
 @pytest.fixture()
@@ -322,13 +324,35 @@ MALFORMED = {
         ("result", None, lambda r: [r], "query", "JSON object"),
     "scored-row-without-gts":
         ("scored", 0, lambda row: _without(row, "gts"), "stats", "'gts'"),
+    "snapshot-edge-not-an-object":
+        ("graph", 1, lambda e: [1, 2], "mine", "snapshot line 2 is not a JSON object"),
+    "snapshot-header-not-an-object":
+        ("graph", 0, lambda h: [], "detect", "snapshot line 1 is not a JSON object"),
+    "candidate-not-an-object":
+        ("cands", 0, lambda row: "x", "indicators",
+         "candidate file line 1 is not a JSON object"),
+    "scored-row-not-an-object":
+        ("scored", 0, lambda row: [0], "stats", "scored file line 1 is not a JSON object"),
+    "result-scored-row-not-an-object":
+        ("result", None, lambda r: {**r, "scored": [[1], *r["scored"][1:]]}, "query",
+         "result scored row 1 is not a JSON object"),
+    "result-scored-not-a-list":
+        ("result", None, lambda r: {**r, "scored": 5}, "query",
+         "result scored rows are not in a JSON list"),
+    "truth-not-a-list":
+        ("truth", None, lambda t: 5, "eval", "truth file rows are not in a JSON list"),
+    "truth-row-not-an-object":
+        ("truth", None, lambda t: [1], "eval", "truth file row 1 is not a JSON object"),
+    "truth-row-without-products":
+        ("truth", None, lambda t: [_without(t[0], "products")], "eval",
+         "truth file has no 'products' field"),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_input_file_exits_3_with_an_error_line(runner, tmp_path, case):
-    _, _, graph = seed_pipeline(runner, tmp_path)
-    paths = {"graph": graph, "cands": tmp_path / "c.jsonl",
+    data, truth, graph = seed_pipeline(runner, tmp_path)
+    paths = {"graph": graph, "cands": tmp_path / "c.jsonl", "truth": truth,
              "scored": tmp_path / "s.jsonl", "result": tmp_path / "r.json"}
     commands = {
         "mine": ["mine", "--graph", str(graph), "--out", str(paths["cands"])],
@@ -339,8 +363,10 @@ def test_malformed_input_file_exits_3_with_an_error_line(runner, tmp_path, case)
         "query": ["query", "--graph", str(graph), "--result", str(paths["result"]),
                   "-e", "getbicliques();"],
         "stats": ["stats", "--scored", str(paths["scored"])],
+        "eval": ["synth", "eval", "--data", str(data), "--truth", str(truth),
+                 "--deltas", "0.4"],
     }
-    for name in ("mine", "indicators", "detect", "query", "stats"):
+    for name in commands:
         assert run(runner, *commands[name]).exit_code == 0, name
     kind, line, edit, command, text = MALFORMED[case]
     path = paths[kind]
@@ -380,7 +406,40 @@ class TestReports:
         res = run(runner, "detect", "--graph", str(graph), "--out", str(out),
                   "--report", "json")
         assert res.exit_code == 0
-        assert json.loads(res.stdout) == json.loads(out.read_text())
+        assert res.stdout == out.read_text()
+
+    def test_csv_report_numbers_and_routes_the_scored_groups(self, runner, tmp_path):
+        _, _, graph = seed_pipeline(runner, tmp_path)
+        out = tmp_path / "r.json"
+        res = run(runner, "detect", "--graph", str(graph), "--out", str(out),
+                  "--report", "csv")
+        assert res.exit_code == 0
+        result = DetectionResult.from_dict(json.loads(out.read_text()),
+                                           RatingGraph.load(graph))
+        header, *rows = csv.reader(io.StringIO(res.stdout))
+        assert header == ["group_id", "reviewers", "products", "doc", "di", "status"]
+        assert [row[0] for row in rows] == [str(i) for i in range(1, len(rows) + 1)]
+        assert [(tuple(row[1].split()), tuple(row[2].split())) for row in rows] == \
+            [b.key for b, _ in result.scored]
+        statuses = [route(rep, result.config.delta) for _, rep in result.scored]
+        assert [row[5] for row in rows] == statuses
+        assert {"collusive", "dangerous"} <= set(statuses)
+
+    def test_out_dash_means_stdout(self, runner, tmp_path, monkeypatch):
+        _, _, graph = seed_pipeline(runner, tmp_path)
+        saved = tmp_path / "r.json"
+        csv_only = run(runner, "detect", "--graph", str(graph), "--out", str(saved),
+                       "--report", "csv")
+        monkeypatch.chdir(tmp_path)
+        res = run(runner, "detect", "--graph", str(graph), "--out", "-",
+                  "--report", "csv")
+        assert csv_only.exit_code == res.exit_code == 0
+        assert res.stdout == saved.read_text() + csv_only.stdout
+        gen = run(runner, "synth", "generate", "--honest", "5", "--products", "3",
+                  "--density", "1", "--out", "-", "--truth", "-")
+        assert gen.exit_code == 0
+        assert gen.stdout.startswith("u0000,p0000,") and gen.stdout.endswith("\n[]\n")
+        assert not (tmp_path / "-").exists()
 
     def test_version_flag(self, runner):
         res = run(runner, "--version")

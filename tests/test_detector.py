@@ -3,7 +3,7 @@
 import pytest
 
 from bcscan.detector import (DetectionResult, damaging_impact,
-                             degree_of_collusiveness, detect, rank_report,
+                             degree_of_collusiveness, detect, route,
                              score_cohort)
 from bcscan.model import BadWeights, Biclique, DetectionConfig, IndicatorReport
 from testutil import grid_graph, make_graph
@@ -130,10 +130,10 @@ class TestDetect:
         g = unanimous_block()
         result = detect(g, DetectionConfig(delta=1.0))
         assert result.expanded_count == 1
-        [row] = [row for row in rank_report(result)
-                 if (row.reviewers, row.products) == (g.reviewers, g.products)]
-        assert row.doc <= 1.0 and row.di == 1.0
-        assert row.status == "dangerous"
+        [rep] = [rep for b, rep in result.scored
+                 if b.key == (g.reviewers, g.products)]
+        assert rep.doc <= 1.0 and rep.di == 1.0
+        assert route(rep, result.config.delta) == "dangerous"
 
     def test_result_round_trip(self):
         # the trio's crowd is scored but not flagged, the trio is flagged
@@ -197,13 +197,10 @@ class TestRankReport:
             # both below -> clear
             "clear": (0.056, 0.173),
         }
-        g = grid_graph(["a", "b"], ["p1", "p2", "p3"])
-        b = Biclique.from_graph(["a", "b"], ["p1", "p2", "p3"], g)
-        rows = []
-        for doc, di in quads.values():
+        delta = DetectionConfig().delta
+        for status, (doc, di) in quads.items():
             rep = IndicatorReport(doc, doc, doc, doc, di, di, doc, di)
-            rows.append((b, rep))
-        result = DetectionResult(tuple(rows), 0, DetectionConfig())
-        statuses = [row.status for row in rank_report(result)]
-        assert statuses == ["collusive", "dangerous", "clear"]
-        assert [row.group_id for row in rank_report(result)] == [1, 2, 3]
+            assert route(rep, delta) == status
+        # the bounds: doc equal to delta is not collusive, di equal to it is dangerous
+        at = IndicatorReport(delta, delta, delta, delta, delta, delta, delta, delta)
+        assert route(at, delta) == "dangerous"

@@ -109,6 +109,59 @@ class TestParseErrors:
             parse(text)
 
 
+# Malformed queries: the text, the exception, its exact message and, for a
+# syntax error, the character position it reports.
+MALFORMED_QUERIES = [
+    ("", QuerySyntaxError,
+     "expected 'getbicliques', found 'end of input' (at position 0)", 0),
+    ("findbicliques();", QuerySyntaxError,
+     "expected 'getbicliques', found 'findbicliques' (at position 0)", 0),
+    ("getbicliques.();", QuerySyntaxError,
+     "expected 'products' or 'product' or 'reviewers' or 'reviewer', found '('"
+     " (at position 13)", 13),
+    ("getbicliques;", QuerySyntaxError, "expected '(', found ';' (at position 12)", 12),
+    ("getbicliques()", QuerySyntaxError,
+     "expected ';', found 'end of input' (at position 14)", 14),
+    ("getbicliques(;", QuerySyntaxError,
+     "expected a number, found ';' (at position 13)", 13),
+    ("getbicliques(0.25 0.25);", QuerySyntaxError,
+     "expected 4 weights, found 1 (at position 18)", 18),
+    ("getbicliques();;", QuerySyntaxError, "trailing input ';' (at position 15)", 15),
+    ("getbicliques(); 'filter'{ DOC > 0.5; };", QuerySyntaxError,
+     "trailing input 'filter' (at position 16)", 16),
+    ("getbicliques() filter{};", QuerySyntaxError, "empty filter block (at position 23)", 23),
+    ("getbicliques() filter{ near(x); };", QuerySyntaxError,
+     "expected a filter clause, found 'near' (at position 23)", 23),
+    ("getbicliques() filter{ DOC > 0.5;", QuerySyntaxError,
+     "expected a filter clause, found 'end of input' (at position 33)", 33),
+    ("getbicliques() filter{ on(a,); };", QuerySyntaxError,
+     "expected an id, found ')' (at position 28)", 28),
+    ("getbicliques() filter{ on(a) };", QuerySyntaxError,
+     "expected ';', found '}' (at position 29)", 29),
+    # syntax errors come before the weight and DOC range checks ...
+    ("getbicliques(0.5,0.5,0.5,0.5) filter{ DOC > 0.2 };", QuerySyntaxError,
+     "expected ';', found '}' (at position 48)", 48),
+    ("getbicliques(0.5,0.5,0.5,0.5) filter{ DOC > 1.5; };", QuerySemanticError,
+     "weights sum to 2.0, expected 1.0", None),
+    # ... but a duplicate clause is reported where it is read
+    ("getbicliques() filter{ DOC > 0.2; DOC > 0.4 };", QuerySemanticError,
+     "duplicate DOC clause", None),
+    ("getbicliques() filter{ DOC > 1.5; DOC > 2; };", QuerySemanticError,
+     "duplicate DOC clause", None),
+    ("getbicliques() filter{ contains(a); contain(b); };", QuerySemanticError,
+     "duplicate contains(...) clause", None),
+]
+
+
+@pytest.mark.parametrize("text,error,message,position", MALFORMED_QUERIES)
+def test_malformed_query_error_and_position(text, error, message, position):
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "position", None) == position
+
+
 class TestPretty:
     def test_canonical_forms(self):
         assert pretty(QueryAst()) == "getbicliques();"
