@@ -220,10 +220,7 @@ def ingest(input_path, fmt, strict, out, **overrides):
     for err in errors:
         click.echo(f"warning: {err}", err=True)
     graph = ingest_mod.ingest_ratings(records, config)
-    if out == "-":
-        _echo_out(graph.snapshot(), out)
-    else:
-        graph.save(out)
+    _echo_out(graph.snapshot(), out)
     click.echo(f"ingested {len(records)} ratings -> {len(graph)} edges, "
                f"{len(graph.reviewers)} reviewers, {len(graph.products)} products",
                err=True)

@@ -158,7 +158,7 @@ class _Parser:
         # the semantic checks follow every syntax check
         if weights is not None:
             try:
-                weights = validate_weights(map(float, weights))
+                weights = validate_weights(weights)
             except BadWeights as exc:
                 raise QuerySemanticError(str(exc)) from exc
         doc_min = clauses.get("doc_min")

@@ -426,7 +426,7 @@ class TestReports:
         assert {"collusive", "dangerous"} <= set(statuses)
 
     def test_out_dash_means_stdout(self, runner, tmp_path, monkeypatch):
-        _, _, graph = seed_pipeline(runner, tmp_path)
+        data, _, graph = seed_pipeline(runner, tmp_path)
         saved = tmp_path / "r.json"
         csv_only = run(runner, "detect", "--graph", str(graph), "--out", str(saved),
                        "--report", "csv")
@@ -439,6 +439,10 @@ class TestReports:
                   "--density", "1", "--out", "-", "--truth", "-")
         assert gen.exit_code == 0
         assert gen.stdout.startswith("u0000,p0000,") and gen.stdout.endswith("\n[]\n")
+        ing = run(runner, "ingest", "--input", str(data), "--min-reviewer", "1",
+                  "--min-product", "1", "--out", "-")
+        assert ing.exit_code == 0
+        assert ing.stdout == graph.read_text()
         assert not (tmp_path / "-").exists()
 
     def test_version_flag(self, runner):
