@@ -5,13 +5,16 @@ Each command takes flags only for the DetectionConfig fields it reads
 Precedence, highest first: explicit flags, environment variables
 (BCS_DELTA, BCS_MAX_TW), a --config JSON file (either a bare config object
 or a detection result whose "config" echo is reused), for ``query`` the
-config echo of its --result, then built-in defaults. ``detect`` echoes the
-rating scale of the graph snapshot it reads.
+config echo of its --result, then built-in defaults. DetectionConfig checks
+the merged settings, each value's JSON type and then its range. ``detect``
+echoes the settings its graph snapshot records, the rating scale and the
+ingest pruning floors, in place of the config's.
 
 Every --out takes a file path, or "-" for stdout.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or query syntax error,
-3 semantic error (bad weights, bad config, unknown ids under --strict-ids, a
+3 semantic error (bad weights, a config value of the wrong type or out of
+range, a config that is not a JSON object, unknown ids under --strict-ids, a
 malformed snapshot, result, candidate, scored or truth file).
 """
 
@@ -65,35 +68,28 @@ def _guarded(fn):
     return wrapper
 
 
-def _parse_weights(text: str) -> tuple[float, ...]:
-    try:
-        parts = tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise BadWeights(f"weights must be comma-separated numbers, got {text!r}")
-    return validate_weights(parts)
-
-
 def _load_config_file(path: str) -> dict:
+    """A --config file's settings: a bare config object, or the "config"
+    echo of a saved result."""
     with open(path, "r", encoding="utf-8") as fp:
         data = json.load(fp)
-    if not isinstance(data, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    if "config" in data and isinstance(data["config"], dict):
+    if isinstance(data, dict) and "config" in data:
         data = data["config"]
+    if not isinstance(data, dict):
+        raise ValueError(f"the config in {path} is not a JSON object")
     return data
 
 
 def _build_config(config_path: str | None, base: dict | None = None,
                   **overrides) -> DetectionConfig:
-    """Layer the settings, lowest first: built-in defaults, ``base`` (a
-    command's own defaults or a cached result's echo), the --config file,
-    then flags and environment variables (None where not given)."""
-    values = DetectionConfig().to_dict()
-    for layer in (base or {}, _load_config_file(config_path) if config_path else {}):
-        values.update({k: layer[k] for k in values if k in layer})
+    """Layer the settings, lowest first: ``base`` (a command's own defaults
+    or a cached result's echo), the --config file, then flags and
+    environment variables (None where not given). DetectionConfig fills in
+    the rest with its defaults and checks every value."""
+    values = {**(base or {}), **(_load_config_file(config_path) if config_path else {})}
     if overrides.get("weights") is not None:
-        overrides["weights"] = _parse_weights(overrides["weights"])
-    values.update({k: v for k, v in overrides.items() if v is not None})
+        overrides["weights"] = validate_weights(overrides["weights"].split(","))
+    values.update((k, v) for k, v in overrides.items() if v is not None)
     return DetectionConfig.from_dict(values)
 
 
@@ -105,7 +101,9 @@ _SETTINGS = {
     "max_tw": ("--max-tw", int, "BCS_MAX_TW", "Widest suspicious posting window, days."),
     "min_r": ("--min-r", int, None, "Smallest group size mined."),
     "min_p": ("--min-p", int, None, "Smallest co-rated product set mined."),
-    "candidate_cap": ("--cap", int, None, "Abort past this many candidates."),
+    "candidate_cap": ("--cap", int, None,
+                      "Abort past this many mined candidates, or this many "
+                      "fragments made expanding one group; not a time bound."),
     "max_value": ("--max-value", float, None, "Top of the rating scale."),
     "prune_reviewer_min": ("--min-reviewer", int, None,
                            "Prune reviewers below this many distinct products."),
@@ -293,8 +291,7 @@ def _report_csv(result: DetectionResult) -> str:
 def detect_cmd(graph_path, config_path, out, report, **overrides):
     """Run the whole detection pass and report every examined group."""
     graph = RatingGraph.load(graph_path)
-    config = _build_config(config_path, max_value=graph.max_value, **overrides)
-    result = detect(graph, config)
+    result = detect(graph, _build_config(config_path, **overrides))
     if out:
         _write_json(result.to_dict(), out)
     if report == "json":

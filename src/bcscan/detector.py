@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import fsum
 from typing import Iterable, Mapping, Sequence
 
@@ -150,9 +150,12 @@ def detect(graph: RatingGraph, config: DetectionConfig | None = None) -> Detecti
     that re-enter the queue exactly once each. Size scores are relative to
     the largest initial candidate: a sub-group only ever holds its parent's
     reviewers and products, so none is larger.
+
+    The graph's recorded settings (its scale and, when ingest recorded
+    them, its pruning floors) replace the config's, so the result echoes
+    what ran; no config means the defaults.
     """
-    if config is None:
-        config = DetectionConfig(max_value=graph.max_value)
+    config = replace(config or DetectionConfig(), **graph.settings)
     initial = enumerate_candidates(graph, config.min_r, config.min_p,
                                    config.candidate_cap)
     if not initial:

@@ -9,9 +9,10 @@ import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .model import BcscanError, DEFAULT_MAX_VALUE, DetectionConfig, RatingEdge, RatingGraph
+from .model import (BcscanError, DEFAULT_MAX_VALUE, PRUNE_FLOORS, DetectionConfig,
+                    RatingEdge, RatingGraph)
 
 log = logging.getLogger(__name__)
 
@@ -115,9 +116,10 @@ def prune(raw: list[RawRating], reviewer_min: int = 10,
         kept = survivors
 
 
-def build_graph(raw: list[RawRating],
-                max_value: float = DEFAULT_MAX_VALUE) -> RatingGraph:
-    """Collapse an already-pruned rating list into a RatingGraph.
+def build_graph(raw: list[RawRating], max_value: float = DEFAULT_MAX_VALUE,
+                floors: Mapping[str, int] | None = None) -> RatingGraph:
+    """Collapse an already-pruned rating list into a RatingGraph that records
+    the pruning ``floors`` it passed, if given.
 
     Repeated opinions collapse into one edge per (reviewer, product): the
     chronologically last posting wins, and on a same-day tie the later
@@ -126,7 +128,7 @@ def build_graph(raw: list[RawRating],
     as spamicity; posting once or twice is ordinary behaviour and scores 0.
     """
     if not raw:
-        return RatingGraph([], max_value=max_value)
+        return RatingGraph([], max_value=max_value, floors=floors)
     epoch = min(rr.date for rr in raw)
     last: dict[tuple[str, str], RawRating] = {}
     posts: Counter[tuple[str, str]] = Counter()
@@ -141,12 +143,14 @@ def build_graph(raw: list[RawRating],
     edges = [RatingEdge(r, p, rr.value, (rr.date - epoch).days,
                         posts[r, p] / per_product[p] if posts[r, p] > 2 else 0.0)
              for (r, p), rr in last.items()]
-    return RatingGraph(edges, max_value=max_value, epoch=epoch)
+    return RatingGraph(edges, max_value=max_value, epoch=epoch, floors=floors)
 
 
 def ingest_ratings(raw: list[RawRating], config: DetectionConfig) -> RatingGraph:
-    """Full ingest pipeline: prune thin activity, then collapse into a graph."""
+    """Full ingest pipeline: prune thin activity, then collapse into a graph
+    that records the pruning floors."""
     pruned = prune(raw, config.prune_reviewer_min, config.prune_product_min)
     if len(pruned) != len(raw):
         log.info("pruning kept %d of %d ratings", len(pruned), len(raw))
-    return build_graph(pruned, max_value=config.max_value)
+    return build_graph(pruned, max_value=config.max_value,
+                       floors={k: getattr(config, k) for k in PRUNE_FLOORS})

@@ -23,7 +23,9 @@ from .indicators import group_time_similarity, group_value_similarity
 
 
 class BudgetExceeded(BcscanError):
-    """Enumeration produced more candidates than the configured cap."""
+    """More than the configured cap of candidates were mined, or of
+    fragments were made while expanding one group into sub-groups. The cap
+    counts distinct groups, so it bounds neither merge attempts nor time."""
 
     def __init__(self, count: int, cap: int):
         super().__init__(f"candidate budget exhausted: {count} > cap {cap}")

@@ -11,6 +11,8 @@ from math import fsum, isfinite
 from typing import Iterable, Iterator, Mapping
 
 DEFAULT_MAX_VALUE = 5.0
+# the ingest settings a graph records besides its scale: its pruning floors
+PRUNE_FLOORS = ("prune_reviewer_min", "prune_product_min")
 WEIGHT_TOLERANCE = 1e-9
 
 
@@ -44,9 +46,13 @@ class BadWeights(BcscanError):
     """Indicator weights must be four non-negative reals summing to 1."""
 
 
-def validate_weights(weights: Iterable[float]) -> tuple[float, float, float, float]:
-    """Check a weight vector and return it as a 4-tuple of floats."""
-    ws = tuple(float(w) for w in weights)
+def validate_weights(weights: Iterable) -> tuple[float, float, float, float]:
+    """Check a weight vector and return it as a 4-tuple of floats. Items are
+    numbers or numeric text; one that is neither is BadWeights too."""
+    try:
+        ws = tuple(float(w) for w in weights)
+    except (TypeError, ValueError):
+        raise BadWeights(f"weights must be numbers, got {weights!r}") from None
     if len(ws) != 4:
         raise BadWeights(f"expected 4 weights, got {len(ws)}")
     if any(not isfinite(w) or w < 0.0 for w in ws):
@@ -119,17 +125,20 @@ class RatingGraph:
     """Immutable bipartite reviewer/product graph indexed both ways.
 
     Construction rejects duplicate (reviewer, product) pairs and values above
-    ``max_value``. Every row (a reviewer's ratings) and every column (a
-    product's ratings) is stored once in lexicographic order, so listings
-    and snapshots come out in a reproducible order without sorting again.
+    ``max_value``. ``floors`` holds the pruning floors the ratings passed,
+    when ingest recorded them. Every row (a reviewer's ratings) and every
+    column (a product's ratings) is stored once in lexicographic order, so
+    listings and snapshots come out in a reproducible order without sorting
+    again.
     """
 
     __slots__ = ("_by_reviewer", "_by_product", "_reviewers", "_products",
-                 "_max_value", "_epoch", "_n_edges")
+                 "_max_value", "_epoch", "_floors", "_n_edges")
 
     def __init__(self, edges: Iterable[RatingEdge],
                  max_value: float = DEFAULT_MAX_VALUE,
-                 epoch: date | None = None):
+                 epoch: date | None = None,
+                 floors: Mapping[str, int] | None = None):
         rows: dict[str, dict[str, RatingEdge]] = {}
         n = 0
         for e in edges:
@@ -155,6 +164,7 @@ class RatingGraph:
         self._products = tuple(sorted(by_p))
         self._max_value = float(max_value)
         self._epoch = epoch
+        self._floors = dict(floors or {})
         self._n_edges = n
 
     @property
@@ -172,6 +182,12 @@ class RatingGraph:
     @property
     def epoch(self) -> date | None:
         return self._epoch
+
+    @property
+    def settings(self) -> dict:
+        """The DetectionConfig fields this graph was built with: its scale,
+        and its pruning floors when they were recorded."""
+        return {"max_value": self._max_value, **self._floors}
 
     def __len__(self) -> int:
         return self._n_edges
@@ -196,11 +212,13 @@ class RatingGraph:
             yield from self._by_reviewer[r].values()
 
     # -- snapshot format ---------------------------------------------------
-    # Line 1 is a header with the scale and epoch, every further line is one
-    # edge. The writer is canonical, so save -> load -> save is byte-identical.
+    # Line 1 is a header with the scale, the pruning floors (when recorded;
+    # a header without them still loads) and the epoch; every further line
+    # is one edge. The writer is canonical, so save -> load -> save is
+    # byte-identical.
 
     def snapshot(self) -> str:
-        header = {"max_value": self._max_value,
+        header = {"max_value": self._max_value, **self._floors,
                   "epoch": self._epoch.isoformat() if self._epoch else None}
         lines = [json.dumps(header, separators=(",", ":"))]
         for e in self.edges():
@@ -221,13 +239,14 @@ class RatingGraph:
         if header is None:
             raise ValueError("empty snapshot: header line missing")
         epoch = date.fromisoformat(header["epoch"]) if header.get("epoch") else None
+        floors = {k: header[k] for k in PRUNE_FLOORS if k in header}
         edges = []
         with fields_of("snapshot"):
             max_value = float(header["max_value"])
             for rec in records:
                 edges.append(RatingEdge(rec["r"], rec["p"], float(rec["v"]),
                                         int(rec["t"]), float(rec["s"])))
-        return cls(edges, max_value=max_value, epoch=epoch)
+        return cls(edges, max_value=max_value, epoch=epoch, floors=floors)
 
     @classmethod
     def load(cls, path) -> "RatingGraph":
@@ -334,9 +353,19 @@ def scored_row(group: Biclique, rep: IndicatorReport) -> dict:
     return {**group.to_dict(), **rep.to_dict()}
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Run parameters shared across ingest, mining, scoring and queries."""
+    """Run parameters shared across ingest, mining, scoring and queries.
+
+    Construction checks every field, its JSON type first and then its
+    range, so a config file or a result echo is checked here and nowhere
+    else. An int field takes an int, a float field an int or a float.
+    """
 
     min_r: int = 2                 # smallest group size worth examining
     min_p: int = 3                 # smallest co-rated product set
@@ -346,9 +375,22 @@ class DetectionConfig:
     prune_reviewer_min: int = 10   # min distinct products per kept reviewer
     prune_product_min: int = 10    # min raw ratings per kept product
     max_value: float = DEFAULT_MAX_VALUE
-    candidate_cap: int = 100_000   # abort mining beyond this many candidates
+    # most candidates mined, and most fragments made while expanding one
+    # group; bounds neither merge attempts nor time
+    candidate_cap: int = 100_000
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "weights":
+                ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+                what = "a list of numbers"
+            elif isinstance(f.default, int):
+                ok, what = _is_number(value) and isinstance(value, int), "an integer"
+            else:
+                ok, what = _is_number(value), "a number"
+            if not ok:
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
         object.__setattr__(self, "weights", validate_weights(self.weights))
         if self.min_r < 2:
             raise ValueError(f"min_r must be >= 2, got {self.min_r}")
@@ -370,8 +412,8 @@ class DetectionConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "DetectionConfig":
-        """Build a config from the known keys of a mapping; others are ignored."""
-        known = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        if "weights" in known:
-            known["weights"] = tuple(known["weights"])
-        return cls(**known)
+        """Build a config from the known keys of a mapping; others are ignored.
+        ValueError if ``data`` is not a mapping."""
+        if not isinstance(data, Mapping):
+            raise ValueError("a config must be a JSON object")
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 from .model import (BadWeights, Biclique, DetectionConfig, IndicatorReport, RatingGraph,
                     scored_row, validate_weights)
-from .detector import DetectionResult, _weighted_doc, detect
+from .detector import DetectionResult, _weighted_doc
 
 log = logging.getLogger(__name__)
 
@@ -248,20 +248,16 @@ class QueryResult:
 
 
 def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
-             cache: DetectionResult | None = None,
-             strict: bool = False) -> QueryResult:
-    """Run a query against a detection result.
+             cache: DetectionResult, strict: bool = False) -> QueryResult:
+    """Run a query against the detection result ``cache``.
 
-    Without a cache a fresh detection pass is run first. Query weights
-    override the config's; DOC values are re-aggregated from the cached
-    indicator quadruples, never re-mined. The effective DOC floor is the
-    query's threshold, or delta when the query names none; matches must
-    exceed it strictly.
+    Query weights override the config's; DOC values are re-aggregated from
+    the cached indicator quadruples, never re-mined. The effective DOC floor
+    is the query's threshold, or delta when the query names none; matches
+    must exceed it strictly.
     """
     weights = validate_weights(ast.weights if ast.weights is not None
                                else config.weights)
-    if cache is None:
-        cache = detect(graph, config)
     floor = ast.doc_min if ast.doc_min is not None else config.delta
 
     warnings: list[str] = []

@@ -186,7 +186,34 @@ class TestConfigPrecedence:
         det = run(runner, "detect", "--graph", str(graph), "--out", str(out),
                   "--report", "csv")
         assert det.exit_code == 0
-        assert json.loads(out.read_text())["config"]["max_value"] == 10.0
+        echo = json.loads(out.read_text())["config"]
+        assert echo["max_value"] == 10.0
+        assert (echo["prune_reviewer_min"], echo["prune_product_min"]) == (1, 1)
+        # a snapshot whose header records no floors echoes the config's
+        header, *edges = graph.read_text().splitlines()
+        header = {k: v for k, v in json.loads(header).items()
+                  if not k.startswith("prune_")}
+        graph.write_text("\n".join([json.dumps(header), *edges]) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prune_reviewer_min": 4, "max_value": 7}))
+        det = run(runner, "detect", "--graph", str(graph), "--config", str(cfg),
+                  "--out", str(out), "--report", "csv")
+        assert det.exit_code == 0
+        echo = json.loads(out.read_text())["config"]
+        assert echo["max_value"] == 10.0
+        assert (echo["prune_reviewer_min"], echo["prune_product_min"]) == (4, 10)
+
+    def test_synth_eval_replays_the_floors_a_result_echoes(self, runner, tmp_path):
+        data, truth, graph = seed_pipeline(runner, tmp_path)
+        cached = tmp_path / "r.json"
+        assert run(runner, "detect", "--graph", str(graph), "--out", str(cached),
+                   "--report", "csv").exit_code == 0
+        sweep = ["synth", "eval", "--data", str(data), "--truth", str(truth),
+                 "--deltas", "0.2,0.4"]
+        plain = run(runner, *sweep)
+        replay = run(runner, *sweep, "--config", str(cached))
+        assert plain.exit_code == replay.exit_code == 0
+        assert replay.stdout == plain.stdout
 
 
 class TestExitCodes:
@@ -346,6 +373,27 @@ MALFORMED = {
     "truth-row-without-products":
         ("truth", None, lambda t: [_without(t[0], "products")], "eval",
          "truth file has no 'products' field"),
+    "config-delta-a-string":
+        ("config", None, lambda c: {"delta": "0.5"}, "configured",
+         "delta must be a number, got '0.5'"),
+    "config-min_r-not-an-integer":
+        ("config", None, lambda c: {"min_r": 2.5}, "configured",
+         "min_r must be an integer, got 2.5"),
+    "config-cap-a-bool":
+        ("config", None, lambda c: {"candidate_cap": True}, "configured",
+         "candidate_cap must be an integer, got True"),
+    "config-weights-a-string":
+        ("config", None, lambda c: {"weights": "0.25,0.25,0.25,0.25"}, "configured",
+         "weights must be a list of numbers"),
+    "config-echo-not-an-object":
+        ("config", None, lambda c: {"config": [1]}, "configured",
+         "is not a JSON object"),
+    "result-config-not-an-object":
+        ("result", None, lambda r: {**r, "config": []}, "query",
+         "a config must be a JSON object"),
+    "result-delta-a-string":
+        ("result", None, lambda r: {**r, "config": {**r["config"], "delta": "0.5"}},
+         "query", "delta must be a number, got '0.5'"),
 }
 
 
@@ -353,13 +401,17 @@ MALFORMED = {
 def test_malformed_input_file_exits_3_with_an_error_line(runner, tmp_path, case):
     data, truth, graph = seed_pipeline(runner, tmp_path)
     paths = {"graph": graph, "cands": tmp_path / "c.jsonl", "truth": truth,
-             "scored": tmp_path / "s.jsonl", "result": tmp_path / "r.json"}
+             "scored": tmp_path / "s.jsonl", "result": tmp_path / "r.json",
+             "config": tmp_path / "cfg.json"}
+    paths["config"].write_text("{}")
     commands = {
         "mine": ["mine", "--graph", str(graph), "--out", str(paths["cands"])],
         "indicators": ["indicators", "--graph", str(graph), "--candidates",
                        str(paths["cands"]), "--out", str(paths["scored"])],
         "detect": ["detect", "--graph", str(graph), "--out", str(paths["result"]),
                    "--report", "csv"],
+        "configured": ["detect", "--graph", str(graph), "--config", str(paths["config"]),
+                       "--report", "csv"],
         "query": ["query", "--graph", str(graph), "--result", str(paths["result"]),
                   "-e", "getbicliques();"],
         "stats": ["stats", "--scored", str(paths["scored"])],

@@ -75,7 +75,7 @@ class TestDetect:
 
     def test_config_echoed(self):
         cfg = DetectionConfig(delta=0.3)
-        assert detect(unanimous_block(), cfg).config is cfg
+        assert detect(unanimous_block(), cfg).config == cfg
 
     def test_default_config_from_graph_scale(self):
         g = grid_graph(["a", "b"], ["p0", "p1", "p2"], value=7.0, max_value=10.0)

@@ -205,8 +205,11 @@ def test_ingest_pipeline_applies_config():
            rr("u3", "lone", 5, "2004-01-01")]
     g = ingest_ratings(raw, cfg)
     assert g.products == ("p1",)
+    floors = {"prune_reviewer_min": 1, "prune_product_min": 2}
+    assert g.settings == {"max_value": 5.0, **floors}
     empty = ingest_ratings([], cfg)
     assert empty.reviewers == () and empty.epoch is None
+    assert empty.settings == g.settings
 
 
 def test_ingest_deterministic():

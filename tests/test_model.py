@@ -103,6 +103,13 @@ def test_snapshot_preserves_scale_and_epoch():
     back = RatingGraph.loads(g.snapshot())
     assert back.max_value == 10.0
     assert back.epoch is None
+    assert back.settings == {"max_value": 10.0}
+    floors = {"prune_reviewer_min": 3, "prune_product_min": 2}
+    recorded = RatingGraph(g.edges(), max_value=10.0, floors=floors)
+    header = recorded.snapshot().splitlines()[0]
+    assert header == ('{"max_value":10.0,"prune_reviewer_min":3,'
+                      '"prune_product_min":2,"epoch":null}')
+    assert RatingGraph.loads(recorded.snapshot()).settings == {"max_value": 10.0, **floors}
 
 
 def test_weights_validation():
@@ -114,6 +121,9 @@ def test_weights_validation():
         validate_weights([0.5, 0.5])
     with pytest.raises(BadWeights):
         validate_weights([1.2, -0.2, 0.0, 0.0])
+    assert validate_weights("0.4,0.3,0.2,0.1".split(",")) == (0.4, 0.3, 0.2, 0.1)
+    with pytest.raises(BadWeights):
+        validate_weights("0.4,x,0.2,0.1".split(","))
 
 
 def test_indicator_report_bounds():
@@ -152,3 +162,11 @@ def test_config_validation():
         DetectionConfig(weights=(0.3, 0.3, 0.3, 0.3))
     with pytest.raises(ValueError):
         DetectionConfig(max_tw=0)
+    # each field's JSON type is checked before its range
+    for bad in ({"delta": "0.5"}, {"min_r": 2.5}, {"candidate_cap": True},
+                {"weights": "0.25,0.25,0.25,0.25"}, {"weights": ["1", 0, 0, 0]}):
+        with pytest.raises(ValueError):
+            DetectionConfig(**bad)
+    assert DetectionConfig(delta=0, max_value=10).max_value == 10
+    with pytest.raises(ValueError):
+        DetectionConfig.from_dict([])

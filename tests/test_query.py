@@ -310,14 +310,6 @@ class TestEvaluate:
             evaluate(QueryAst(weights=(0.5, 0.5, 0.5, 0.5)), graph, config,
                      cache=empty)
 
-    def test_fresh_evaluation_runs_detection(self):
-        rows = [(r, p, 5, 0) for r in ("a", "b", "c")
-                for p in ("p1", "p2", "p3")]
-        graph = make_graph(rows)
-        result = evaluate(parse("getbicliques();"), graph, DetectionConfig())
-        assert [b.key for b, _ in result.groups] == \
-            [(("a", "b", "c"), ("p1", "p2", "p3"))]
-
     def test_to_dict_shapes(self):
         graph, cache = five_block_fixture()
         d = evaluate(parse("getbicliques();"), graph, cache.config, cache).to_dict()
