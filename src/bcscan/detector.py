@@ -7,6 +7,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, replace
 from math import fsum
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .model import (Biclique, DetectionConfig, IndicatorReport, RatingGraph,
@@ -32,7 +33,7 @@ def degree_of_collusiveness(gvs: float, gts: float, grs: float, gms: float,
 
 def _weighted_doc(quadruple: Sequence[float], weights: Sequence[float]) -> float:
     """DOC without the weight check, for weights validated once per call."""
-    value = fsum(v * w for v, w in zip(quadruple, weights))
+    value = fsum(map(mul, quadruple, weights))
     return min(1.0, max(0.0, value))
 
 
@@ -58,12 +59,22 @@ class DetectionResult:
 
     ``scored`` holds every group that was examined (initial candidates plus
     expanded sub-groups) in canonical order, which is what reports and
-    queries work from. The flagged groups are derived from it.
+    queries work from. The flagged groups are derived from it. Construction
+    checks that order: group keys must strictly increase (ValueError
+    otherwise), so no group is listed twice.
     """
 
     scored: tuple[tuple[Biclique, IndicatorReport], ...]
     expanded_count: int
     config: DetectionConfig
+
+    def __post_init__(self):
+        keys = [b.key for b, _ in self.scored]
+        for n, (before, after) in enumerate(zip(keys, keys[1:]), 2):
+            if not before < after:
+                raise ValueError(f"scored group {n} does not come after group {n - 1} "
+                                 "in canonical order (sorted by reviewers, then "
+                                 "products, each group once)")
 
     @property
     def collusive(self) -> tuple[tuple[Biclique, IndicatorReport], ...]:

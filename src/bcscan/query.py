@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .model import (BadWeights, Biclique, DetectionConfig, IndicatorReport, RatingGraph,
@@ -251,10 +251,14 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
              cache: DetectionResult, strict: bool = False) -> QueryResult:
     """Run a query against the detection result ``cache``.
 
-    Query weights override the config's; DOC values are re-aggregated from
-    the cached indicator quadruples, never re-mined. The effective DOC floor
-    is the query's threshold, or delta when the query names none; matches
-    must exceed it strictly.
+    A query is one pass over the cached groups, which keeps their canonical
+    order. Query weights override the config's; each group's DOC is
+    re-aggregated from its cached indicator quadruple, never re-mined. The
+    effective DOC floor is the query's threshold, or delta when the query
+    names none; matches must exceed it strictly. A kept group keeps its
+    cached report when the re-aggregated DOC equals the cached one, as it
+    does under the weights ``detect`` scored the cache with; only a group
+    whose DOC changes gets a new report.
     """
     weights = validate_weights(ast.weights if ast.weights is not None
                                else config.weights)
@@ -290,6 +294,7 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
         ids = sorted({r for group, _, _ in kept for r in group.reviewers})
         return QueryResult("reviewers", ids=tuple(ids), warnings=tuple(warnings))
     # only the bicliques projection shows reports, re-weighted to the query
-    kept.sort(key=lambda item: item[0].key)
-    groups = tuple((group, replace(rep, doc=doc)) for group, rep, doc in kept)
+    groups = tuple((group, rep if doc == rep.doc else
+                    IndicatorReport(*rep.quadruple(), rep.gs, rep.gps, doc, rep.di))
+                   for group, rep, doc in kept)
     return QueryResult("bicliques", groups=groups, warnings=tuple(warnings))

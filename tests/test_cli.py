@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from bcscan.cli import cli
-from bcscan.detector import DetectionResult, route
+from bcscan.detector import DetectionResult, _weighted_doc, route
 from bcscan.model import RatingGraph
 
 
@@ -277,6 +277,35 @@ class TestExitCodes:
                                   "--out", str(tmp_path / "d.csv")])
         assert res.exit_code == 3
 
+    def test_query_weights_flag_reweights_the_cached_reports(self, runner, tmp_path):
+        _, _, graph = seed_pipeline(runner, tmp_path)
+        cached = tmp_path / "r.json"
+        assert run(runner, "detect", "--graph", str(graph), "--out", str(cached),
+                   "--report", "csv").exit_code == 0
+        saved = {(tuple(row["reviewers"]), tuple(row["products"])): row
+                 for row in json.loads(cached.read_text())["scored"]}
+
+        def groups(*args):
+            q = run(runner, "query", "--graph", str(graph), "--result", str(cached),
+                    "--json", "-e", "getbicliques() filter{ DOC > 0.0; };", *args)
+            assert q.exit_code == 0
+            return json.loads(q.stdout)["groups"]
+
+        weights = (0.4, 0.3, 0.2, 0.1)
+        reweighted = groups("--weights", ",".join(map(str, weights)))
+        assert reweighted
+        changed = 0
+        for row in reweighted:
+            cached_row = saved[tuple(row["reviewers"]), tuple(row["products"])]
+            quadruple = tuple(cached_row[k] for k in ("gvs", "gts", "grs", "gms"))
+            assert row["doc"] == _weighted_doc(quadruple, weights)
+            assert _without(row, "doc") == _without(cached_row, "doc")
+            changed += row["doc"] != cached_row["doc"]
+        assert changed
+        # without the flag every group shows its cached report
+        assert all(row == saved[tuple(row["reviewers"]), tuple(row["products"])]
+                   for row in groups())
+
     def test_query_rejects_settings_a_cached_result_ignores(self, runner, tmp_path):
         _, _, graph = seed_pipeline(runner, tmp_path)
         cached = tmp_path / "r.json"
@@ -334,6 +363,16 @@ class TestExitCodes:
 
 def _without(record: dict, field: str) -> dict:
     return {k: v for k, v in record.items() if k != field}
+
+
+def _repeat_a_collusive_group(result: dict) -> dict:
+    """The result with its first collusive group listed twice, beside itself,
+    both in ``scored`` and in ``collusive``."""
+    row = result["collusive"][0]
+    scored = result["scored"]
+    at = scored.index(row) + 1
+    return {**result, "scored": scored[:at] + [row] + scored[at:],
+            "collusive": [row] + result["collusive"]}
 
 
 # Each malformed input: the file, the JSONL line edited (None: the whole JSON
@@ -394,6 +433,11 @@ MALFORMED = {
     "result-delta-a-string":
         ("result", None, lambda r: {**r, "config": {**r["config"], "delta": "0.5"}},
          "query", "delta must be a number, got '0.5'"),
+    "result-scored-rows-reversed":
+        ("result", None, lambda r: {**r, "scored": r["scored"][::-1]}, "query",
+         "does not come after group 1 in canonical order"),
+    "result-collusive-group-repeated":
+        ("result", None, _repeat_a_collusive_group, "query", "in canonical order"),
 }
 
 

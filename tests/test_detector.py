@@ -1,12 +1,14 @@
 """Detection loop behaviour: aggregation, routing, expansion, reporting."""
 
+import random
+
 import pytest
 
-from bcscan.detector import (DetectionResult, damaging_impact,
+from bcscan.detector import (DetectionResult, _weighted_doc, damaging_impact,
                              degree_of_collusiveness, detect, route,
                              score_cohort)
 from bcscan.model import BadWeights, Biclique, DetectionConfig, IndicatorReport
-from testutil import grid_graph, make_graph
+from testutil import grid_graph, make_graph, reference_weighted_doc
 
 
 class TestAggregates:
@@ -26,6 +28,17 @@ class TestAggregates:
             degree_of_collusiveness(1, 1, 1, 1, (0.3, 0.3, 0.3, 0.3))
         with pytest.raises(BadWeights):
             degree_of_collusiveness(1, 1, 1, 1, (0.5, 0.5))
+
+    def test_weighted_doc_is_bit_identical_to_the_generator_form(self):
+        rng = random.Random(2024)
+        for _ in range(20_000):
+            quadruple = tuple(rng.choice([rng.random(), rng.randint(0, 8) / 8])
+                              for _ in range(4))
+            parts = [rng.randint(0, 20) for _ in range(4)]
+            parts[rng.randrange(4)] += 1
+            weights = tuple(p / sum(parts) for p in parts)
+            assert _weighted_doc(quadruple, weights) == \
+                reference_weighted_doc(quadruple, weights)
 
     def test_di_mean(self):
         assert damaging_impact(0.5, 0.7) == pytest.approx(0.6, abs=1e-9)
@@ -161,6 +174,17 @@ class TestDetect:
         monkeypatch.setattr(Biclique, "from_graph", classmethod(counted))
         DetectionResult.from_dict(data, g)
         assert len(calls) == len(data["scored"])
+
+    def test_scored_groups_must_strictly_increase_by_key(self):
+        g = planted_trio()
+        result = detect(g, DetectionConfig())
+        first, second = result.scored
+        for scored in ((second, first), (first, first), (first, second, second)):
+            with pytest.raises(ValueError, match="canonical order"):
+                DetectionResult(scored, 0, result.config)
+        data = result.to_dict()
+        with pytest.raises(ValueError, match="scored group 2 does not come after"):
+            DetectionResult.from_dict({**data, "scored": data["scored"][::-1]}, g)
 
     def test_from_dict_rejects_a_collusive_list_that_disagrees_with_scored(self):
         g = planted_trio()

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from bcscan.detector import DetectionResult
+from bcscan import synth
+from bcscan.detector import DetectionResult, _weighted_doc, detect
+from bcscan.ingest import ingest_ratings
 from bcscan.model import BadWeights, Biclique, DetectionConfig, IndicatorReport
 from bcscan.query import (QueryAst, QuerySemanticError, QuerySyntaxError,
                           UnknownId, evaluate, parse, pretty)
-from testutil import make_graph
+from testutil import make_graph, reference_evaluate
 
 
 class TestParse:
@@ -319,3 +321,99 @@ class TestEvaluate:
         p = evaluate(parse("getbicliques.products() filter{ on(zzz); };"),
                      graph, cache.config, cache).to_dict()
         assert p["ids"] == [] and p["warnings"]
+
+
+SESSION_WEIGHTS = [(0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4)]
+
+
+@pytest.fixture(scope="module")
+def sessions():
+    """Seeded synthetic detection results, one per set of session weights:
+    (graph, config, cache) triples."""
+    out = []
+    for seed, weights in enumerate(SESSION_WEIGHTS, start=1):
+        dataset = synth.generate(200, 40, 0.1, [synth.AttackScript()] * 3, seed=seed)
+        config = DetectionConfig(prune_reviewer_min=1, prune_product_min=1,
+                                 weights=weights, delta=0.3)
+        graph = ingest_ratings(list(dataset.raw), config)
+        cache = detect(graph, config)
+        assert len(cache.scored) >= 20
+        out.append((graph, cache.config, cache))
+    return out
+
+
+class TestNoCopy:
+    def test_session_weights_return_the_cached_reports(self, sessions):
+        for graph, config, cache in sessions:
+            cached = {b.key: rep for b, rep in cache.scored}
+            for ast in (QueryAst(doc_min=0.0), QueryAst(weights=config.weights)):
+                groups = evaluate(ast, graph, config, cache).groups
+                assert groups
+                assert all(rep is cached[b.key] for b, rep in groups)
+
+    def test_reweighted_query_builds_new_reports_and_leaves_the_cache(self, sessions):
+        for graph, config, cache in sessions:
+            before = [(b.key, rep.to_dict()) for b, rep in cache.scored]
+            cached = {b.key: rep for b, rep in cache.scored}
+            weights = next(w for w in SESSION_WEIGHTS if w != config.weights)
+            groups = evaluate(QueryAst(weights=weights, doc_min=0.0),
+                              graph, config, cache).groups
+            changed = 0
+            for b, rep in groups:
+                old = cached[b.key]
+                assert rep.doc == _weighted_doc(old.quadruple(), weights)
+                assert {**rep.to_dict(), "doc": None} == {**old.to_dict(), "doc": None}
+                if rep.doc != old.doc:
+                    assert rep is not old
+                    changed += 1
+            assert changed
+            assert [(b.key, rep.to_dict()) for b, rep in cache.scored] == before
+
+
+def _random_query(rng: random.Random, graph, config, cache) -> QueryAst:
+    """A query over ``cache``: any projection; the session weights, their
+    explicit copy or other weights; ``on``/``contains`` drawn from a cached
+    group with repeats and unknown ids; no DOC floor, a random one, or one
+    set exactly to a group's DOC under the query's weights."""
+    weights = rng.choice([None, config.weights, *SESSION_WEIGHTS])
+    group, rep = rng.choice(cache.scored)
+
+    def ids(pool, known):
+        if rng.random() < 0.5:
+            return None
+        picked = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            picked.append(rng.choice(known))
+        if rng.random() < 0.2:
+            picked.append("no-such-id")
+        return tuple(picked)
+
+    floor = rng.random()
+    if floor < 0.3:
+        doc_min = None
+    elif floor < 0.7:
+        doc_min = _weighted_doc(rep.quadruple(), weights or config.weights)
+    else:
+        doc_min = rng.randint(0, 100) / 100
+    return QueryAst(rng.choice(["bicliques", "products", "reviewers"]), weights,
+                    ids(group.products, graph.products),
+                    ids(group.reviewers, graph.reviewers), doc_min)
+
+
+def test_evaluate_matches_the_reference_evaluator(sessions):
+    rng = random.Random(1212)
+    boundary_hits = 0
+    for graph, config, cache in sessions:
+        for _ in range(300):
+            ast = _random_query(rng, graph, config, cache)
+            got = evaluate(ast, graph, config, cache)
+            want = reference_evaluate(ast, graph, config, cache)
+            assert got.projection == want.projection
+            assert [(b.key, rep.to_dict()) for b, rep in got.groups] == \
+                [(b.key, rep.to_dict()) for b, rep in want.groups]
+            assert got.ids == want.ids
+            assert got.warnings == want.warnings
+            weights = ast.weights or config.weights
+            boundary_hits += any(_weighted_doc(rep.quadruple(), weights) == ast.doc_min
+                                 for _, rep in cache.scored)
+    assert boundary_hits > 100

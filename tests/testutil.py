@@ -10,22 +10,32 @@ kept verbatim as a differential reference for the bitmask miner on graphs
 far too large for the exponential oracle. ``reference_build_graph`` is the
 earlier multi-step duplicate collapse (pair and product counts, spamicity,
 a date-to-day map, last posting per pair), kept as a differential reference
-for the one-pass ``build_graph``.
+for the one-pass ``build_graph``. ``reference_evaluate`` is the earlier
+query evaluator, which rebuilt the report of every kept group with
+``dataclasses.replace`` and sorted its matches, kept as a differential
+reference for the one-pass ``query.evaluate``; ``reference_weighted_doc``
+is the generator form of the DOC sum it used.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from math import fsum, sqrt
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
+from bcscan.detector import DetectionResult
 from bcscan.ingest import RawRating
 from bcscan.mining import BudgetExceeded
-from bcscan.model import DEFAULT_MAX_VALUE, Biclique, RatingEdge, RatingGraph
+from bcscan.model import (DEFAULT_MAX_VALUE, Biclique, DetectionConfig, RatingEdge,
+                          RatingGraph, validate_weights)
+from bcscan.query import QueryAst, QueryResult, UnknownId
+
+log = logging.getLogger(__name__)
 
 
 def make_graph(rows, max_value=5.0, epoch=None) -> RatingGraph:
@@ -250,3 +260,57 @@ def oracle_passing_subrectangles(graph: RatingGraph, parent: Biclique,
                     if oracle_screen_pass(graph, rs, ps, delta, max_tw):
                         out.append((rs, ps))
     return sorted(out)
+
+
+def reference_weighted_doc(quadruple: Sequence[float], weights: Sequence[float]) -> float:
+    """DOC without the weight check, for weights validated once per call."""
+    value = fsum(v * w for v, w in zip(quadruple, weights))
+    return min(1.0, max(0.0, value))
+
+
+def reference_evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
+                       cache: DetectionResult, strict: bool = False) -> QueryResult:
+    """Run a query against the detection result ``cache``.
+
+    Query weights override the config's; DOC values are re-aggregated from
+    the cached indicator quadruples, never re-mined. The effective DOC floor
+    is the query's threshold, or delta when the query names none; matches
+    must exceed it strictly.
+    """
+    weights = validate_weights(ast.weights if ast.weights is not None
+                               else config.weights)
+    floor = ast.doc_min if ast.doc_min is not None else config.delta
+
+    warnings: list[str] = []
+    for ids, known, side in ((ast.on or (), graph.products, "product"),
+                             (ast.contains or (), graph.reviewers, "reviewer")):
+        for ident in ids:
+            if ident not in known:
+                message = f"unknown {side} id {ident!r}"
+                if strict:
+                    raise UnknownId(message)
+                warnings.append(message)
+                log.warning("%s", message)
+
+    on = set(ast.on) if ast.on else None
+    contains = set(ast.contains) if ast.contains else None
+    kept = []
+    for group, rep in cache.scored:
+        if on is not None and not on <= set(group.products):
+            continue
+        if contains is not None and not contains <= set(group.reviewers):
+            continue
+        doc = reference_weighted_doc(rep.quadruple(), weights)
+        if doc > floor:
+            kept.append((group, rep, doc))
+
+    if ast.projection == "products":
+        ids = sorted({p for group, _, _ in kept for p in group.products})
+        return QueryResult("products", ids=tuple(ids), warnings=tuple(warnings))
+    if ast.projection == "reviewers":
+        ids = sorted({r for group, _, _ in kept for r in group.reviewers})
+        return QueryResult("reviewers", ids=tuple(ids), warnings=tuple(warnings))
+    # only the bicliques projection shows reports, re-weighted to the query
+    kept.sort(key=lambda item: item[0].key)
+    groups = tuple((group, replace(rep, doc=doc)) for group, rep, doc in kept)
+    return QueryResult("bicliques", groups=groups, warnings=tuple(warnings))
