@@ -6,10 +6,10 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter
 from datetime import date
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import (BcscanError, DEFAULT_MAX_VALUE, PRUNE_FLOORS, DetectionConfig,
                     RatingEdge, RatingGraph)
@@ -26,14 +26,18 @@ class ParseError(BcscanError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class RawRating:
-    """One log line before duplicate collapsing: a dated opinion."""
+class RawRating(NamedTuple):
+    """One log line before duplicate collapsing: a dated opinion. A named
+    tuple: immutable, indexable, and equal to the plain tuple of its fields."""
 
     reviewer: str
     product: str
     value: float
     date: date
+
+
+_PAIR = itemgetter(0, 1)    # a RawRating's (reviewer, product)
+_REVIEWER, _PRODUCT = itemgetter(0), itemgetter(1)
 
 
 def parse_log(lines: Iterable[str], fmt: str = "csv",
@@ -50,6 +54,9 @@ def parse_log(lines: Iterable[str], fmt: str = "csv",
         raise ValueError(f"unknown log format {fmt!r}")
     records: list[RawRating] = []
     errors: list[ParseError] = []
+    # a log has few distinct dates; only parsed ones are kept, so a bad
+    # date fails again, with its own line number, on every line it is on
+    dates: dict[str, date] = {}
 
     def fail(line_no: int, reason: str):
         err = ParseError(line_no, reason)
@@ -66,7 +73,7 @@ def parse_log(lines: Iterable[str], fmt: str = "csv",
                 row = next(csv.reader([text]))
                 if len(row) != 4:
                     raise ValueError(f"expected 4 fields, got {len(row)}")
-                reviewer, product, value_s, date_s = (f.strip() for f in row)
+                reviewer, product, value_s, date_s = map(str.strip, row)
             else:
                 rec = json.loads(text)
                 if not isinstance(rec, dict):
@@ -82,7 +89,9 @@ def parse_log(lines: Iterable[str], fmt: str = "csv",
             value = float(value_s)
             if not 1.0 <= value <= max_value:
                 raise ValueError(f"value {value!r} outside [1, {max_value}]")
-            when = date.fromisoformat(date_s)
+            when = dates.get(date_s)
+            if when is None:
+                when = dates[date_s] = date.fromisoformat(date_s)
         except Exception as exc:
             fail(line_no, str(exc))
             continue
@@ -102,18 +111,16 @@ def prune(raw: list[RawRating], reviewer_min: int = 10,
     Input order is preserved.
     """
     kept = list(raw)
-    while True:
-        products_by_reviewer: dict[str, set[str]] = defaultdict(set)
-        ratings_per_product: Counter[str] = Counter()
-        for rr in kept:
-            products_by_reviewer[rr.reviewer].add(rr.product)
-            ratings_per_product[rr.product] += 1
-        survivors = [rr for rr in kept
-                     if len(products_by_reviewer[rr.reviewer]) >= reviewer_min
-                     and ratings_per_product[rr.product] >= product_min]
-        if len(survivors) == len(kept):
-            return survivors
-        kept = survivors
+    while kept:
+        # distinct products per reviewer, and raw ratings per product
+        breadth = Counter(map(_REVIEWER, set(map(_PAIR, kept))))
+        ratings = Counter(map(_PRODUCT, kept))
+        if min(breadth.values()) >= reviewer_min and min(ratings.values()) >= product_min:
+            break
+        kept = [rr for rr in kept
+                if breadth[rr.reviewer] >= reviewer_min
+                and ratings[rr.product] >= product_min]
+    return kept
 
 
 def build_graph(raw: list[RawRating], max_value: float = DEFAULT_MAX_VALUE,
@@ -130,16 +137,14 @@ def build_graph(raw: list[RawRating], max_value: float = DEFAULT_MAX_VALUE,
     if not raw:
         return RatingGraph([], max_value=max_value, floors=floors)
     epoch = min(rr.date for rr in raw)
+    posts = Counter(map(_PAIR, raw))
+    per_product = Counter(map(_PRODUCT, raw))
     last: dict[tuple[str, str], RawRating] = {}
-    posts: Counter[tuple[str, str]] = Counter()
-    per_product: Counter[str] = Counter()
     for rr in raw:
         pair = (rr.reviewer, rr.product)
         prev = last.get(pair)
         if prev is None or rr.date >= prev.date:
             last[pair] = rr
-        posts[pair] += 1
-        per_product[rr.product] += 1
     edges = [RatingEdge(r, p, rr.value, (rr.date - epoch).days,
                         posts[r, p] / per_product[p] if posts[r, p] > 2 else 0.0)
              for (r, p), rr in last.items()]

@@ -7,8 +7,9 @@ import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
+from json.encoder import encode_basestring_ascii
 from math import fsum, isfinite
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 DEFAULT_MAX_VALUE = 5.0
 # the ingest settings a graph records besides its scale: its pruning floors
@@ -95,30 +96,63 @@ def fields_of(kind: str):
         raise ValueError(f"{kind} has no {exc.args[0]!r} field") from None
 
 
-@dataclass(frozen=True)
-class RatingEdge:
-    """One collapsed rating: reviewer -> product with value, day and spamicity.
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    ``time`` is a day offset from the log epoch, ``spamicity`` the share of
-    the product's raw ratings contributed by this pair (0 unless the pair
-    posted more than twice).
-    """
 
+def _as_float(name: str, value) -> float:
+    """A JSON number as a float; ValueError for anything else, bools too."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+class _EdgeFields(NamedTuple):
     reviewer: str
     product: str
     value: float
     time: int
     spamicity: float = 0.0
 
-    def __post_init__(self):
-        if not self.reviewer or not self.product:
+
+class RatingEdge(_EdgeFields):
+    """One collapsed rating: reviewer -> product with value, day and spamicity.
+
+    ``time`` is a day offset from the log epoch, ``spamicity`` the share of
+    the product's raw ratings contributed by this pair (0 unless the pair
+    posted more than twice). ``value`` and ``spamicity`` are stored as
+    floats and ``time`` must be an int, so a snapshot writes every edge in
+    one form. An edge is a named tuple: immutable, hashable, indexable, and
+    equal to the plain tuple of its five fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, reviewer: str, product: str, value: float, time: int,
+                spamicity: float = 0.0):
+        if not reviewer or not product:
             raise ValueError("reviewer and product ids must be non-empty")
-        if not isfinite(self.value) or self.value < 1.0:
-            raise ValueError(f"rating value must be >= 1, got {self.value!r}")
-        if self.time < 0:
-            raise ValueError(f"time must be a non-negative day offset, got {self.time!r}")
-        if not 0.0 <= self.spamicity <= 1.0:
-            raise ValueError(f"spamicity must lie in [0, 1], got {self.spamicity!r}")
+        if value.__class__ is not float:
+            value = _as_float("rating value", value)
+        if not isfinite(value) or value < 1.0:
+            raise ValueError(f"rating value must be >= 1, got {value!r}")
+        if time.__class__ is not int:
+            if isinstance(time, bool) or not isinstance(time, int):
+                raise ValueError(f"time must be an integer day offset, got {time!r}")
+            time = int(time)
+        if time < 0:
+            raise ValueError(f"time must be a non-negative day offset, got {time!r}")
+        if spamicity.__class__ is not float:
+            spamicity = _as_float("spamicity", spamicity)
+        if not 0.0 <= spamicity <= 1.0:
+            raise ValueError(f"spamicity must lie in [0, 1], got {spamicity!r}")
+        return tuple.__new__(cls, (reviewer, product, value, time, spamicity))
+
+    @classmethod
+    def _make(cls, iterable) -> "RatingEdge":
+        # _replace builds through _make, so both run the checks above
+        return cls(*iterable)
 
 
 class RatingGraph:
@@ -221,11 +255,17 @@ class RatingGraph:
         header = {"max_value": self._max_value, **self._floors,
                   "epoch": self._epoch.isoformat() if self._epoch else None}
         lines = [json.dumps(header, separators=(",", ":"))]
-        for e in self.edges():
-            lines.append(json.dumps(
-                {"r": e.reviewer, "p": e.product, "v": e.value,
-                 "t": e.time, "s": e.spamicity},
-                separators=(",", ":")))
+        # Each edge line is the json.dumps text of {"r", "p", "v", "t", "s"}
+        # with these separators, written directly: ids quoted by the function
+        # json.dumps quotes with, and the repr of the edge's finite floats
+        # and int, which is what json.dumps writes for them.
+        quote = encode_basestring_ascii
+        quoted = {p: quote(p) for p in self._products}
+        for r in self._reviewers:
+            head = '{"r":' + quote(r) + ',"p":'
+            lines += [f'{head}{quoted[p]},"v":{e.value!r},"t":{e.time!r},'
+                      f'"s":{e.spamicity!r}}}'
+                      for p, e in self._by_reviewer[r].items()]
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
@@ -351,11 +391,6 @@ class IndicatorReport:
 def scored_row(group: Biclique, rep: IndicatorReport) -> dict:
     """A scored group as one flat record: its ids plus its report."""
     return {**group.to_dict(), **rep.to_dict()}
-
-
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from bcscan.ingest import (ParseError, RawRating, build_graph, ingest_ratings,
                            parse_log, prune)
 from bcscan.model import DetectionConfig
 
-from testutil import reference_build_graph
+from testutil import reference_build_graph, reference_prune
 
 
 def rr(reviewer, product, value, iso):
@@ -49,6 +49,29 @@ class TestParseLog:
         with pytest.raises(ParseError) as exc:
             parse_log(["u1,p1,5,2004-03-01", "nope"], strict=True)
         assert exc.value.line_no == 2
+
+    def test_repeated_dates_parse_alike_and_each_bad_one_fails(self):
+        # valid dates repeat, and one invalid date recurs on several lines
+        rng = random.Random(7)
+        days = ["2004-03-01", "2004-03-02", "2005-12-31", "2004-02-30", "2004-3-01"]
+        lines = [f"u{rng.randrange(5)},p{rng.randrange(5)},{rng.randint(1, 5)},"
+                 f"{rng.choice(days)}" for _ in range(300)]
+        records, errors = parse_log(lines)
+        expected, expected_errors = [], []
+        for line_no, line in enumerate(lines, 1):
+            reviewer, product, value, day = line.split(",")
+            try:
+                expected.append(RawRating(reviewer, product, float(value),
+                                          date.fromisoformat(day)))
+            except ValueError as exc:
+                expected_errors.append((line_no, str(exc)))
+        assert records == expected
+        assert [(e.line_no, e.reason) for e in errors] == expected_errors
+        assert len({reason for _, reason in expected_errors}) == 2
+        assert len(expected_errors) > 50
+        with pytest.raises(ParseError) as exc:
+            parse_log(lines, strict=True)
+        assert exc.value.line_no == expected_errors[0][0]
 
     def test_quoted_csv_ids(self):
         records, _ = parse_log(['"last, first",p1,5,2004-03-01'])
@@ -106,6 +129,16 @@ class TestPrune:
                   rng.randint(1, 5), "2004-01-01") for _ in range(120)]
         once = prune(raw, 3, 3)
         assert prune(once, 3, 3) == once
+
+
+    def test_matches_the_reference_prune(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            raw = [rr(f"u{rng.randrange(n)}", f"p{rng.randrange(n)}", rng.randint(1, 5),
+                      "2004-01-01") for _ in range(rng.randint(0, 80))]
+            floors = rng.randrange(5), rng.randrange(5)
+            assert prune(raw, *floors) == reference_prune(raw, *floors)
 
 
 class TestSpamicity:

@@ -1,11 +1,14 @@
 """Core type behaviour: edges, graph, biclique completeness, snapshots."""
 
+import random
+from datetime import date, timedelta
+
 import pytest
 
 from bcscan.model import (BadWeights, Biclique, DetectionConfig, DuplicateEdge,
                           IndicatorReport, MissingEdge, RatingEdge, RatingGraph,
                           validate_weights)
-from testutil import make_graph
+from testutil import make_graph, reference_snapshot
 
 
 def test_edge_validation():
@@ -18,6 +21,37 @@ def test_edge_validation():
         RatingEdge("u1", "p1", 3.0, 0, spamicity=1.5)
     with pytest.raises(ValueError):
         RatingEdge("", "p1", 3.0, 0)
+
+
+def test_edge_stores_floats_and_an_int_time():
+    e = RatingEdge("a", "x", 5, 1, 0)
+    assert (e.value, e.time, e.spamicity) == (5.0, 1, 0.0)
+    assert type(e.value) is float and type(e.spamicity) is float
+    assert type(RatingEdge("a", "x", 3.0, 2, 1).spamicity) is float
+    for bad in ({"time": 1.5}, {"time": True}, {"time": "1"}, {"time": None},
+                {"value": "5"}, {"value": True}, {"spamicity": False},
+                {"spamicity": "0.5"}):
+        fields = {"value": 5.0, "time": 1, "spamicity": 0.0, **bad}
+        with pytest.raises(ValueError):
+            RatingEdge("a", "x", **fields)
+
+
+def test_edge_is_an_immutable_named_tuple():
+    e = RatingEdge("u1", "p1", 4.0, 3, 0.5)
+    assert e == ("u1", "p1", 4.0, 3, 0.5) and e[2] == 4.0
+    assert e == RatingEdge("u1", "p1", 4.0, 3, 0.5)
+    assert e != RatingEdge("u1", "p1", 4.0, 3)
+    assert hash(e) == hash(("u1", "p1", 4.0, 3, 0.5))
+    assert repr(e) == ("RatingEdge(reviewer='u1', product='p1', value=4.0, "
+                       "time=3, spamicity=0.5)")
+    with pytest.raises(AttributeError):
+        e.value = 5.0
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    # _replace builds a checked edge too
+    assert e._replace(time=4) == ("u1", "p1", 4.0, 4, 0.5)
+    with pytest.raises(ValueError):
+        e._replace(time=-1)
 
 
 def test_graph_rejects_duplicate_pair():
@@ -96,6 +130,51 @@ def test_snapshot_round_trip_is_byte_identical(tmp_path):
     path = tmp_path / "graph.jsonl"
     g.save(path)
     assert RatingGraph.load(path).snapshot() == first
+
+
+def test_snapshot_round_trip_keeps_int_fields_as_floats():
+    g = RatingGraph([RatingEdge("a", "x", 5, 1, 0), RatingEdge("b", "x", 2, 0, 1)])
+    first = g.snapshot()
+    assert first.splitlines()[1:] == ['{"r":"a","p":"x","v":5.0,"t":1,"s":0.0}',
+                                      '{"r":"b","p":"x","v":2.0,"t":0,"s":1.0}']
+    back = RatingGraph.loads(first)
+    assert back.snapshot() == first
+    assert list(back.edges()) == list(g.edges())
+
+
+# every character class the JSON writer escapes, and some it does not
+ID_CHARS = ['a', 'Z', '0', ' ', ',', '/', '"', '\\', '\x00', '\x1f', '\n', '\t',
+            '\x7f', 'é', 'ß', '中', '\u2028', '🙂', '\ud800']
+
+
+def random_id(rng: random.Random) -> str:
+    return "".join(rng.choice(ID_CHARS) for _ in range(rng.randint(1, 6)))
+
+
+def random_float(rng: random.Random, low: float, high: float) -> float:
+    return rng.choice((low, high, rng.uniform(low, high),
+                       float(rng.randint(int(low), int(high))),
+                       low + (high - low) * 2.0 ** -rng.randint(1, 60)))
+
+
+def test_snapshot_matches_the_reference_writer():
+    rng = random.Random(1313)
+    for _ in range(200):
+        max_value = rng.choice((5.0, 10.0, 7.5, 1e6))
+        rows = {}
+        for _ in range(rng.randint(0, 40)):
+            rows[random_id(rng), random_id(rng)] = (
+                random_float(rng, 1.0, max_value),
+                rng.choice((0, rng.randrange(400), rng.randrange(2 ** 70))),
+                rng.choice((0.0, 1.0, 5e-324, random_float(rng, 0.0, 1.0))))
+        epoch = rng.choice((None, date(2004, 1, 1) + timedelta(days=rng.randrange(4000))))
+        floors = rng.choice((None, {"prune_reviewer_min": rng.randrange(20),
+                                    "prune_product_min": rng.randrange(20)}))
+        g = RatingGraph([RatingEdge(r, p, *rest) for (r, p), rest in rows.items()],
+                        max_value=max_value, epoch=epoch, floors=floors)
+        text = g.snapshot()
+        assert text == reference_snapshot(g)
+        assert RatingGraph.loads(text).snapshot() == text
 
 
 def test_snapshot_preserves_scale_and_epoch():

@@ -14,15 +14,20 @@ for the one-pass ``build_graph``. ``reference_evaluate`` is the earlier
 query evaluator, which rebuilt the report of every kept group with
 ``dataclasses.replace`` and sorted its matches, kept as a differential
 reference for the one-pass ``query.evaluate``; ``reference_weighted_doc``
-is the generator form of the DOC sum it used.
+is the generator form of the DOC sum it used. ``reference_prune`` is the
+earlier fixed-point prune, which rebuilt per-reviewer product sets on every
+pass, and ``reference_snapshot`` the earlier snapshot writer, one
+``json.dumps`` per edge; they are differential references for ``prune``
+and ``RatingGraph.snapshot``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from datetime import date
 from math import fsum, sqrt
@@ -217,6 +222,43 @@ def reference_build_graph(raw: list[RawRating],
     stats = DuplicateStats.from_ratings(raw)
     return RatingGraph(collapse_duplicates(raw, stats),
                        max_value=max_value, epoch=epoch)
+
+
+def reference_prune(raw: list[RawRating], reviewer_min: int = 10,
+                    product_min: int = 10) -> list[RawRating]:
+    """Drop thin activity until a joint fixed point.
+
+    A reviewer survives with at least ``reviewer_min`` distinct rated
+    products, a product with at least ``product_min`` raw ratings. Removing
+    one side can starve the other, so the filter repeats until stable.
+    Input order is preserved.
+    """
+    kept = list(raw)
+    while True:
+        products_by_reviewer: dict[str, set[str]] = defaultdict(set)
+        ratings_per_product: Counter[str] = Counter()
+        for rr in kept:
+            products_by_reviewer[rr.reviewer].add(rr.product)
+            ratings_per_product[rr.product] += 1
+        survivors = [rr for rr in kept
+                     if len(products_by_reviewer[rr.reviewer]) >= reviewer_min
+                     and ratings_per_product[rr.product] >= product_min]
+        if len(survivors) == len(kept):
+            return survivors
+        kept = survivors
+
+
+def reference_snapshot(graph: RatingGraph) -> str:
+    """A graph's snapshot text: a header line, then one JSON line per edge."""
+    header = {"max_value": graph._max_value, **graph._floors,
+              "epoch": graph._epoch.isoformat() if graph._epoch else None}
+    lines = [json.dumps(header, separators=(",", ":"))]
+    for e in graph.edges():
+        lines.append(json.dumps(
+            {"r": e.reviewer, "p": e.product, "v": e.value,
+             "t": e.time, "s": e.spamicity},
+            separators=(",", ":")))
+    return "\n".join(lines) + "\n"
 
 
 def cosine(a, b) -> float:
