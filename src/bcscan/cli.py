@@ -10,7 +10,10 @@ the merged settings, each value's JSON type and then its range. ``detect``
 echoes the settings its graph snapshot records, the rating scale and the
 ingest pruning floors, in place of the config's.
 
-Every --out takes a file path, or "-" for stdout.
+Every --out takes a file path, or "-" for stdout. Each output format has
+one writer: a detection result (``detect --out`` and ``--report json``)
+goes through ``_write_result``, one scored row at a time, and every other
+JSON document through ``_write_json``.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or query syntax error,
 3 semantic error (bad weights, a config value of the wrong type or out of
@@ -26,7 +29,8 @@ import io
 import json
 import logging
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -149,15 +153,64 @@ def _echo_out(text: str, out: str | None):
         click.echo(text, nl=False)
 
 
-def _write_json(data, out: str):
-    """Write ``data`` as indented, key-sorted JSON plus a newline to the file
-    ``out``, or to stdout for "-". It is streamed: a whole detection result
-    is never held as one string."""
+@contextmanager
+def _out_file(out: str):
+    """The file ``out`` opened for writing, or stdout for "-"; flushed on
+    leaving, before click.echo writes to stdout again."""
     with (nullcontext(sys.stdout) if out == "-"
           else open(out, "w", encoding="utf-8")) as fp:
+        yield fp
+        fp.flush()
+
+
+def _write_json(data, out: str):
+    """Write ``data`` as indented, key-sorted JSON plus a newline to the file
+    ``out``, or to stdout for "-". It is streamed. A detection result goes
+    through ``_write_result`` instead, which writes the same text faster."""
+    with _out_file(out) as fp:
         json.dump(data, fp, indent=2, sort_keys=True)
         fp.write("\n")
-        fp.flush()  # before click.echo writes to stdout again
+
+
+def _write_result(result: DetectionResult, collusive: tuple, out: str):
+    """Write a detection result to the file ``out``, or to stdout for "-":
+    the text ``_write_json(result.to_dict(), out)`` writes, without building
+    that dict. ``collusive`` is ``result.collusive``, sorted once by the
+    caller. This is the one writer of detection results."""
+    config = json.dumps(result.config.to_dict(), indent=2, sort_keys=True)
+    config = config.replace("\n", "\n  ")
+    with _out_file(out) as fp:
+        fp.write('{\n  "collusive": ')
+        _write_rows(fp, collusive)
+        fp.write(f',\n  "config": {config},\n'
+                 f'  "examined_count": {result.examined_count!r},\n'
+                 f'  "expanded_count": {result.expanded_count!r},\n  "scored": ')
+        _write_rows(fp, result.scored)
+        fp.write("\n}\n")
+
+
+def _write_rows(fp, pairs):
+    """Write one list of a result's scored rows, a row at a time, each as
+    json.dump indents its ``scored_row`` at this depth: the eight report
+    floats by their repr, the ids quoted by the function json.dump quotes
+    with."""
+    if not pairs:
+        fp.write("[]")
+        return
+    quote = encode_basestring_ascii
+    sep = ",\n        "
+    before = "[\n"
+    for b, rep in pairs:
+        fp.write(f'{before}    {{\n'
+                 f'      "di": {rep.di!r},\n      "doc": {rep.doc!r},\n'
+                 f'      "gms": {rep.gms!r},\n      "gps": {rep.gps!r},\n'
+                 f'      "grs": {rep.grs!r},\n      "gs": {rep.gs!r},\n'
+                 f'      "gts": {rep.gts!r},\n      "gvs": {rep.gvs!r},\n'
+                 f'      "products": [\n        {sep.join(map(quote, b.products))}\n'
+                 f'      ],\n      "reviewers": [\n        '
+                 f'{sep.join(map(quote, b.reviewers))}\n      ]\n    }}')
+        before = ",\n"
+    fp.write("\n  ]")
 
 
 def _csv(header: list | None, rows) -> str:
@@ -292,17 +345,18 @@ def detect_cmd(graph_path, config_path, out, report, **overrides):
     """Run the whole detection pass and report every examined group."""
     graph = RatingGraph.load(graph_path)
     result = detect(graph, _build_config(config_path, **overrides))
+    collusive = result.collusive
     if out:
-        _write_json(result.to_dict(), out)
+        _write_result(result, collusive, out)
     if report == "json":
-        _write_json(result.to_dict(), "-")
+        _write_result(result, collusive, "-")
     elif report == "csv":
         _echo_out(_report_csv(result), None)
     else:
         _echo_out(_report_table(result), None)
     click.echo(f"examined {result.examined_count} group(s), "
                f"expanded {result.expanded_count}, "
-               f"flagged {len(result.collusive)} collusive", err=True)
+               f"flagged {len(collusive)} collusive", err=True)
 
 
 def _show_query_result(res, as_json: bool):

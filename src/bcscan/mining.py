@@ -4,10 +4,13 @@
 rectangle meeting the size floors: take any qualifying product set, the
 reviewers are exactly those who rated all of it, and neither side can be
 grown without losing completeness. This is closed-itemset enumeration with
-reviewers as transactions and products as items, walked LCM-style over
-bitmasks: a closure is checked only over the products of one member (any
-product every member rated, that member rated too), and a group is extended
-only by products in the union of its members' product bitmasks.
+reviewers as transactions and products as items, walked LCM-style. A group
+holds its members as a set of reviewer numbers and its products as a
+bitmask. Extending it by a product intersects the members with that
+product's raters; the closure is the AND of the remaining members' product
+bitmasks. A group is extended only by products at least two of its members
+rated (one, when the reviewer floor is below 2), since any other product
+leaves too few members.
 
 ``find_sub_bicliques`` searches inside one rectangle for tighter sub-groups
 by merging single ratings bottom-up, keeping only merges that still look
@@ -16,6 +19,8 @@ collusive.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import Iterator
 
 from .model import BcscanError, Biclique, DetectionConfig, RatingGraph
@@ -46,28 +51,26 @@ def enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: int = 3,
     """Enumerate all maximal bicliques with >= min_r reviewers and >= min_p
     products, in key order.
 
-    Reviewer sets and product sets are bitmasks over the graph's sorted
-    reviewers and products. The walk extends closed product sets one product
-    at a time and keeps an extension only when its closure adds no product
-    before the one just added, so every closed set is visited exactly once.
-    A closure tests only the products of the group's lowest-numbered member,
-    and extensions come only from the products its members rated, so no
-    node scans every reviewer or every product.
+    Reviewers and products are numbered in sorted order. A node of the walk
+    is a closed product set, held as a bitmask over the products, and its
+    members, held as a set of reviewer numbers. The walk extends a node one
+    product at a time and keeps an extension only when its closure adds no
+    product before the one just added, so every closed set is visited
+    exactly once. An extension's members are the node's members who rated
+    the new product, one set intersection; its closure is the AND of those
+    members' product bitmasks. Only products at least two members rated are
+    tried (any one member's, when ``min_r`` is below 2), since an extension
+    by any other product keeps too few members.
     Raises BudgetExceeded once more than ``cap`` candidates qualify.
     """
     reviewers = graph.reviewers
     products = graph.products
-    # a group has at least one reviewer, whose products seed every closure
+    # the root's closure is the AND over every reviewer, so it needs one
     if len(reviewers) < max(min_r, 1) or len(products) < min_p:
         return []
-    bit_of = {r: 1 << i for i, r in enumerate(reviewers)}
+    number = {r: i for i, r in enumerate(reviewers)}
+    raters = [frozenset(number[r] for r in graph.reviewers_of(p)) for p in products]
     item_of = {p: 1 << j for j, p in enumerate(products)}
-    supporters = []
-    for p in products:
-        mask = 0
-        for r in graph.reviewers_of(p):
-            mask |= bit_of[r]
-        supporters.append(mask)
     rated = []
     for r in reviewers:
         items = 0
@@ -75,43 +78,39 @@ def enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: int = 3,
             items |= item_of[p]
         rated.append(items)
 
-    def closure(mask: int) -> int:
-        # every product in the closure was rated by the lowest member
-        closed = 0
-        for j in _bits(rated[(mask & -mask).bit_length() - 1]):
-            if supporters[j] & mask == mask:
-                closed |= 1 << j
-        return closed
-
-    found: list[tuple[int, int]] = []
-    full_mask = (1 << len(reviewers)) - 1
-    stack = [(closure(full_mask), full_mask, 0)]
+    found: list[tuple[frozenset, int]] = []
+    stack = [(reduce(and_, rated), frozenset(range(len(reviewers))), 0)]
     while stack:
-        closed, mask, start = stack.pop()
-        if closed.bit_count() >= min_p and mask.bit_count() >= min_r:
-            found.append((mask, closed))
+        closed, members, start = stack.pop()
+        if len(members) >= min_r and closed.bit_count() >= min_p:
+            found.append((members, closed))
             if len(found) > cap:
                 raise BudgetExceeded(len(found), cap)
         # conditional database: products at or after start, not yet closed,
-        # rated by some member (any other extension has no reviewers left)
-        tail = 0
-        for i in _bits(mask):
-            tail |= rated[i]
-        tail &= ~closed & ~((1 << start) - 1)
-        for j in _bits(tail):
-            extended = mask & supporters[j]
-            if extended.bit_count() < min_r:
+        # rated by two members (by one when min_r is below 2); any other
+        # extension has too few members left
+        once = twice = 0
+        for i in members:
+            items = rated[i]
+            twice |= once & items
+            once |= items
+        tail = (twice if min_r >= 2 else once) & ~closed & -(1 << start)
+        while tail:
+            low = tail & -tail
+            tail ^= low
+            extended = members & raters[low.bit_length() - 1]
+            if len(extended) < min_r:
                 continue
-            new_closed = closure(extended)
+            new_closed = reduce(and_, map(rated.__getitem__, extended))
             # canonical extension: the closure may only add products at or
-            # beyond j, otherwise this set is reached via a smaller prefix
-            if new_closed & ~closed & ((1 << j) - 1):
+            # beyond this one, otherwise this set is reached via a smaller prefix
+            if new_closed & ~closed & (low - 1):
                 continue
-            stack.append((new_closed, extended, j + 1))
+            stack.append((new_closed, extended, low.bit_length()))
 
     out = []
-    for mask, closed in found:
-        rs = [reviewers[i] for i in _bits(mask)]
+    for members, closed in found:
+        rs = [reviewers[i] for i in members]
         ps = [products[j] for j in _bits(closed)]
         out.append(Biclique.from_graph(rs, ps, graph))
     return sorted(out, key=lambda b: b.key)

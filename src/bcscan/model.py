@@ -280,12 +280,12 @@ class RatingGraph:
             raise ValueError("empty snapshot: header line missing")
         epoch = date.fromisoformat(header["epoch"]) if header.get("epoch") else None
         floors = {k: header[k] for k in PRUNE_FLOORS if k in header}
-        edges = []
         with fields_of("snapshot"):
             max_value = float(header["max_value"])
-            for rec in records:
-                edges.append(RatingEdge(rec["r"], rec["p"], float(rec["v"]),
-                                        int(rec["t"]), float(rec["s"])))
+            # the fields go in as read, so RatingEdge rejects a day that is
+            # not an integer and a value or spamicity that is not a number
+            edges = [RatingEdge(rec["r"], rec["p"], rec["v"], rec["t"], rec["s"])
+                     for rec in records]
         return cls(edges, max_value=max_value, epoch=epoch, floors=floors)
 
     @classmethod

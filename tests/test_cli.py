@@ -3,13 +3,15 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
 
-from bcscan.cli import cli
-from bcscan.detector import DetectionResult, _weighted_doc, route
-from bcscan.model import RatingGraph
+from bcscan.cli import _write_result, cli
+from bcscan.detector import DetectionResult, _weighted_doc, detect, route
+from bcscan.model import DetectionConfig, RatingGraph
+from testutil import make_graph, random_graph
 
 
 @pytest.fixture()
@@ -382,6 +384,18 @@ MALFORMED = {
         ("graph", 0, lambda h: _without(h, "max_value"), "detect", "'max_value'"),
     "snapshot-edge-without-t":
         ("graph", 1, lambda e: _without(e, "t"), "mine", "'t'"),
+    "snapshot-edge-t-a-fraction":
+        ("graph", 1, lambda e: {**e, "t": 1.9}, "mine",
+         "time must be an integer day offset, got 1.9"),
+    "snapshot-edge-t-a-bool":
+        ("graph", 1, lambda e: {**e, "t": True}, "mine",
+         "time must be an integer day offset, got True"),
+    "snapshot-edge-v-a-string":
+        ("graph", 1, lambda e: {**e, "v": "5"}, "detect",
+         "rating value must be a number, got '5'"),
+    "snapshot-edge-s-a-bool":
+        ("graph", 1, lambda e: {**e, "s": False}, "detect",
+         "spamicity must be a number, got False"),
     "candidate-without-products":
         ("cands", 0, lambda row: _without(row, "products"), "indicators", "'products'"),
     "result-without-scored":
@@ -544,6 +558,54 @@ class TestReports:
     def test_version_flag(self, runner):
         res = run(runner, "--version")
         assert res.exit_code == 0 and "0.1.0" in res.output
+
+
+def _odd_id_graph() -> RatingGraph:
+    """Two collusive trios whose ids hold a quote, a backslash, control
+    characters, U+2028 and non-ASCII text."""
+    reviewers = ['say "hi"', "back\\slash", "tab\there\x1f", "line\u2028sep", "Zoë"]
+    products = ["p\x01", "p\u2028", "café", 'p"q\\r', "日本"]
+    rows = [(r, p, 5, 1) for r in reviewers[:3] for p in products[:3]]
+    rows += [(r, p, 3, 2) for r in reviewers[3:] for p in products[2:]]
+    rows += [(reviewers[1], p, 2, 40) for p in products[3:]]
+    return make_graph(rows)
+
+
+def _dumped(result: DetectionResult) -> str:
+    return json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+class TestResultWriter:
+    """``detect`` writes a result row by row; the text must be what
+    json.dumps makes of ``DetectionResult.to_dict()``."""
+
+    def test_writes_the_text_of_to_dict(self, tmp_path):
+        # seeds whose dangerous groups expand quickly
+        results = [detect(random_graph(random.Random(seed), 30, 8, 0.5, days=20),
+                          DetectionConfig(**settings))
+                   for seed, settings in ((0, {}), (4, {}),
+                                          (4, {"delta": 0.55, "max_tw": 5,
+                                               "weights": (0.4, 0.3, 0.2, 0.1)}))]
+        results += [detect(_odd_id_graph()), detect(make_graph([("r", "p", 5, 0)]))]
+        assert all(len(r.scored) > 1 and r.collusive for r in results[:-1])
+        assert results[-1].scored == ()
+        path = tmp_path / "r.json"
+        for result in results:
+            _write_result(result, result.collusive, str(path))
+            assert path.read_text(encoding="utf-8") == _dumped(result)
+
+    @pytest.mark.parametrize("graph", [_odd_id_graph(), make_graph([])],
+                             ids=["odd-ids", "no-groups"])
+    def test_out_file_and_json_report(self, runner, tmp_path, graph):
+        snapshot, out = tmp_path / "g.jsonl", tmp_path / "r.json"
+        graph.save(snapshot)
+        res = run(runner, "detect", "--graph", str(snapshot), "--out", str(out),
+                  "--report", "json")
+        assert res.exit_code == 0
+        want = _dumped(detect(RatingGraph.load(snapshot)))
+        assert res.stdout == out.read_text(encoding="utf-8") == want
+        if not len(graph):
+            assert '"collusive": [],' in want and '"scored": []' in want
 
 
 CONFIG_FLAGS = {"--config", "--delta", "--weights", "--max-tw", "--min-r", "--min-p",

@@ -56,7 +56,7 @@ class TestEnumerateCandidates:
         rng = random.Random(23)
         for _ in range(30):
             g = random_graph(rng, 7, 7, 0.6)
-            for min_r, min_p in ((2, 2), (3, 3), (2, 4)):
+            for min_r, min_p in ((2, 2), (3, 3), (2, 4), (1, 1), (1, 3), (2, 1)):
                 assert keys(enumerate_candidates(g, min_r, min_p)) == \
                     oracle_maximal_bicliques(g, min_r, min_p)
 
@@ -88,7 +88,10 @@ class TestEnumerateCandidates:
         for trial in range(6):
             g = random_graph(rng, rng.randint(150, 400), rng.randint(20, 60),
                              rng.uniform(0.03, 0.15))
-            for min_r, min_p in ((2, 3), (2, 2), (3, 3), (2, 4)):
+            # floors below DetectionConfig's: min_r 1 extends by products
+            # one member rated, not two
+            for min_r, min_p in ((2, 3), (2, 2), (3, 3), (2, 4),
+                                 (1, 1), (1, 3), (2, 1)):
                 want = keys(reference_enumerate_candidates(g, min_r, min_p))
                 total = len(want)
                 # a cap equal to the total is not exceeded
