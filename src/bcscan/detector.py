@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import fsum
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -18,6 +18,9 @@ from .indicators import (SuspiciousnessTable, build_suspiciousness,
 from .mining import enumerate_candidates, find_sub_bicliques
 
 log = logging.getLogger(__name__)
+
+# how many weight vectors' DOC columns a DetectionResult keeps
+DOCS_KEPT = 8
 
 
 def degree_of_collusiveness(gvs: float, gts: float, grs: float, gms: float,
@@ -62,11 +65,19 @@ class DetectionResult:
     queries work from. The flagged groups are derived from it. Construction
     checks that order: group keys must strictly increase (ValueError
     otherwise), so no group is listed twice.
+
+    A result also remembers the DOC column of the last few weight vectors
+    ``docs`` was asked for, so repeated queries do not re-aggregate every
+    group. That memo is not part of the result's value: it stays out of
+    ``to_dict``, equality and hashing, and ``dataclasses.replace`` starts
+    the new result with an empty one.
     """
 
     scored: tuple[tuple[Biclique, IndicatorReport], ...]
     expanded_count: int
     config: DetectionConfig
+    # validated weights -> DOC column, least recently used first
+    _docs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         keys = [b.key for b, _ in self.scored]
@@ -87,6 +98,25 @@ class DetectionResult:
     @property
     def examined_count(self) -> int:
         return len(self.scored)
+
+    def docs(self, weights: Iterable[float]) -> tuple[float, ...]:
+        """The DOC of every scored group under ``weights``, in scored order.
+
+        Each value is re-aggregated from the group's indicator quadruple,
+        never read from its stored ``doc``. BadWeights if the weights are
+        invalid. The columns of the DOCS_KEPT most recently used weight
+        vectors are kept, so a repeated weight vector costs no arithmetic.
+        """
+        weights = validate_weights(weights)
+        memo = self._docs
+        column = memo.pop(weights, None)
+        if column is None:
+            column = tuple(_weighted_doc(rep.quadruple(), weights)
+                           for _, rep in self.scored)
+            if len(memo) >= DOCS_KEPT:
+                del memo[next(iter(memo))]
+        memo[weights] = column
+        return column
 
     def to_dict(self) -> dict:
         return {"config": self.config.to_dict(),

@@ -357,7 +357,8 @@ class Biclique:
 
 @dataclass(frozen=True)
 class IndicatorReport:
-    """The six group indicators plus their two aggregates, all in [0, 1]."""
+    """The six group indicators plus their two aggregates, all numbers (an
+    int or a float, not a bool) in [0, 1]."""
 
     gvs: float   # group value similarity: min pairwise rating-vector cosine
     gts: float   # group time similarity: tightest per-product posting window
@@ -371,6 +372,8 @@ class IndicatorReport:
     def __post_init__(self):
         for name in ("gvs", "gts", "grs", "gms", "gs", "gps", "doc", "di"):
             v = getattr(self, name)
+            if v.__class__ is not float and not _is_number(v):
+                raise ValueError(f"{name} must be a number, got {v!r}")
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v!r} outside [0, 1]")
 

@@ -26,11 +26,12 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import NamedTuple, Sequence
 
 from .model import (BadWeights, Biclique, DetectionConfig, IndicatorReport, RatingGraph,
                     scored_row, validate_weights)
-from .detector import DetectionResult, _weighted_doc
+from .detector import DetectionResult
 
 log = logging.getLogger(__name__)
 
@@ -253,16 +254,17 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
 
     A query is one pass over the cached groups, which keeps their canonical
     order. Query weights override the config's; each group's DOC is
-    re-aggregated from its cached indicator quadruple, never re-mined. The
+    re-aggregated from its cached indicator quadruple, never re-mined, and
+    read from ``cache.docs``, which computes a weight vector's DOC column
+    once and reuses it for later queries under the same weights. The
     effective DOC floor is the query's threshold, or delta when the query
     names none; matches must exceed it strictly. A kept group keeps its
     cached report when the re-aggregated DOC equals the cached one, as it
     does under the weights ``detect`` scored the cache with; only a group
     whose DOC changes gets a new report.
     """
-    weights = validate_weights(ast.weights if ast.weights is not None
-                               else config.weights)
-    floor = ast.doc_min if ast.doc_min is not None else config.delta
+    docs = cache.docs(ast.weights if ast.weights is not None else config.weights)
+    floor = float(ast.doc_min if ast.doc_min is not None else config.delta)
 
     warnings: list[str] = []
     for ids, known, side in ((ast.on or (), graph.products, "product"),
@@ -275,26 +277,25 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
                 warnings.append(message)
                 log.warning("%s", message)
 
-    on = set(ast.on) if ast.on else None
-    contains = set(ast.contains) if ast.contains else None
-    kept = []
-    for group, rep in cache.scored:
-        if on is not None and not on <= set(group.products):
-            continue
-        if contains is not None and not contains <= set(group.reviewers):
-            continue
-        doc = _weighted_doc(rep.quadruple(), weights)
-        if doc > floor:
-            kept.append((group, rep, doc))
+    # ((group, rep), doc) for each strict exceeder of the floor
+    kept = compress(zip(cache.scored, docs), map(floor.__lt__, docs))
+    if ast.on:
+        on = set(ast.on)
+        kept = [((group, rep), doc) for (group, rep), doc in kept
+                if on.issubset(group.products)]
+    if ast.contains:
+        contains = set(ast.contains)
+        kept = [((group, rep), doc) for (group, rep), doc in kept
+                if contains.issubset(group.reviewers)]
 
     if ast.projection == "products":
-        ids = sorted({p for group, _, _ in kept for p in group.products})
+        ids = sorted(set(chain.from_iterable(group.products for (group, _), _ in kept)))
         return QueryResult("products", ids=tuple(ids), warnings=tuple(warnings))
     if ast.projection == "reviewers":
-        ids = sorted({r for group, _, _ in kept for r in group.reviewers})
+        ids = sorted(set(chain.from_iterable(group.reviewers for (group, _), _ in kept)))
         return QueryResult("reviewers", ids=tuple(ids), warnings=tuple(warnings))
     # only the bicliques projection shows reports, re-weighted to the query
     groups = tuple((group, rep if doc == rep.doc else
                     IndicatorReport(*rep.quadruple(), rep.gs, rep.gps, doc, rep.di))
-                   for group, rep, doc in kept)
+                   for (group, rep), doc in kept)
     return QueryResult("bicliques", groups=groups, warnings=tuple(warnings))

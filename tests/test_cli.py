@@ -452,6 +452,20 @@ MALFORMED = {
          "does not come after group 1 in canonical order"),
     "result-collusive-group-repeated":
         ("result", None, _repeat_a_collusive_group, "query", "in canonical order"),
+    "scored-row-gvs-a-bool":
+        ("scored", 0, lambda row: {**row, "gvs": True}, "stats",
+         "gvs must be a number, got True"),
+    "scored-row-gvs-a-string":
+        ("scored", 0, lambda row: {**row, "gvs": "0.5"}, "stats",
+         "gvs must be a number, got '0.5'"),
+    "result-scored-row-gvs-a-bool":
+        ("result", None, lambda r: {**r, "scored": [{**r["scored"][0], "gvs": True},
+                                                    *r["scored"][1:]]},
+         "query", "gvs must be a number, got True"),
+    "result-scored-row-doc-a-string":
+        ("result", None, lambda r: {**r, "scored": [{**r["scored"][0], "doc": "0.5"},
+                                                    *r["scored"][1:]]},
+         "query", "doc must be a number, got '0.5'"),
 }
 
 
@@ -499,6 +513,40 @@ class TestRepl:
                   input="getbicliques(\n);\nnot a query;\nexit;\n")
         assert res.exit_code == 0
         assert "syntax error" in res.output  # the bad statement is not fatal
+
+    def test_answers_follow_the_recomputed_doc_not_the_stored_one(self, runner, tmp_path):
+        _, _, graph = seed_pipeline(runner, tmp_path)
+        result = tmp_path / "result.json"
+        assert run(runner, "detect", "--graph", str(graph),
+                   "--out", str(result)).exit_code == 0
+        # hand-edit the stored doc of the highest- and lowest-scoring groups
+        # to the opposite extremes, keeping the collusive list derived
+        data = json.loads(result.read_text())
+        weights, delta = data["config"]["weights"], data["config"]["delta"]
+        rows = data["scored"]
+        docs = [_weighted_doc((r["gvs"], r["gts"], r["grs"], r["gms"]), weights)
+                for r in rows]
+        high = max(range(len(rows)), key=docs.__getitem__)
+        low = min(range(len(rows)), key=docs.__getitem__)
+        assert docs[low] < docs[high]
+        rows[high]["doc"], rows[low]["doc"] = 0.0, 1.0
+        data["collusive"] = sorted((r for r in rows if r["doc"] > delta),
+                                   key=lambda r: (-r["doc"], r["reviewers"], r["products"]))
+        result.write_text(json.dumps(data))
+        floor = round((docs[low] + docs[high]) / 2, 3)
+        assert docs[low] <= floor < docs[high]
+        text = f"getbicliques() filter{{ DOC > {floor}; }};"
+        # the -e query runs on a cold memo, the two REPL repeats on a warm one
+        res = run(runner, "query", "--graph", str(graph), "--result", str(result),
+                  "-e", text, "--repl", input=f"{text}\n{text}\nexit;\n")
+        assert res.exit_code == 0, res.output
+        kept = [(row, doc) for row, doc in zip(rows, docs) if doc > floor]
+        assert rows[high] in (row for row, _ in kept)
+        assert rows[low] not in (row for row, _ in kept)
+        expected = "".join(f"{n:>4}  doc={doc:.4f}  di={row['di']:.4f}  "
+                           f"{','.join(row['reviewers'])} -> {','.join(row['products'])}\n"
+                           for n, (row, doc) in enumerate(kept, 1))
+        assert res.stdout.split("bcs> ") == [expected, expected, expected, ""]
 
 
 class TestReports:

@@ -186,6 +186,15 @@ class TestDetect:
         with pytest.raises(ValueError, match="scored group 2 does not come after"):
             DetectionResult.from_dict({**data, "scored": data["scored"][::-1]}, g)
 
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_from_dict_rejects_an_indicator_that_is_not_a_number(self, value):
+        g = planted_trio()
+        data = detect(g, DetectionConfig()).to_dict()
+        first, *rest = data["scored"]
+        with pytest.raises(ValueError, match=f"gvs must be a number, got {value!r}"):
+            DetectionResult.from_dict({**data, "scored": [{**first, "gvs": value}, *rest]},
+                                      g)
+
     def test_from_dict_rejects_a_collusive_list_that_disagrees_with_scored(self):
         g = planted_trio()
         data = detect(g, DetectionConfig()).to_dict()

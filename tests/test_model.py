@@ -1,6 +1,7 @@
 """Core type behaviour: edges, graph, biclique completeness, snapshots."""
 
 import random
+import re
 from datetime import date, timedelta
 
 import pytest
@@ -209,6 +210,16 @@ def test_indicator_report_bounds():
     IndicatorReport(1, 0, 0.5, 0, 1, 1, 0.375, 1)
     with pytest.raises(ValueError):
         IndicatorReport(1.2, 0, 0, 0, 1, 1, 0.3, 1)
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+def test_indicator_report_fields_must_be_numbers(value):
+    for i, name in enumerate(("gvs", "gts", "grs", "gms", "gs", "gps", "doc", "di")):
+        fields = [0.5] * 8
+        fields[i] = value
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name} must be a number, got {value!r}")):
+            IndicatorReport(*fields)
 
 
 def test_config_defaults_and_echo():

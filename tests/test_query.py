@@ -1,11 +1,12 @@
 """Query language: lexing, parsing, rendering, evaluation."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from bcscan import synth
-from bcscan.detector import DetectionResult, _weighted_doc, detect
+from bcscan.detector import DOCS_KEPT, DetectionResult, _weighted_doc, detect
 from bcscan.ingest import ingest_ratings
 from bcscan.model import BadWeights, Biclique, DetectionConfig, IndicatorReport
 from bcscan.query import (QueryAst, QuerySemanticError, QuerySyntaxError,
@@ -233,6 +234,13 @@ class TestEvaluate:
                           graph, cache.config, cache)
         assert skewed.groups == ()
 
+    def test_integer_floors_compare_as_numbers(self):
+        graph, cache = five_block_fixture()
+        assert evaluate(QueryAst(doc_min=1), graph, cache.config, cache).groups == ()
+        config = replace(cache.config, delta=1)
+        assert evaluate(QueryAst(), graph, config, cache).groups == ()
+        assert len(evaluate(QueryAst(doc_min=0), graph, config, cache).groups) == 5
+
     def test_default_floor_is_config_delta(self):
         graph, cache = five_block_fixture()
         result = evaluate(parse("getbicliques();"), graph, cache.config, cache)
@@ -400,20 +408,97 @@ def _random_query(rng: random.Random, graph, config, cache) -> QueryAst:
                     ids(group.reviewers, graph.reviewers), doc_min)
 
 
+def _assert_matches_reference(ast, graph, config, cache):
+    got = evaluate(ast, graph, config, cache)
+    want = reference_evaluate(ast, graph, config, cache)
+    assert got.projection == want.projection
+    assert [(b.key, rep.to_dict()) for b, rep in got.groups] == \
+        [(b.key, rep.to_dict()) for b, rep in want.groups]
+    assert got.ids == want.ids
+    assert got.warnings == want.warnings
+
+
 def test_evaluate_matches_the_reference_evaluator(sessions):
     rng = random.Random(1212)
     boundary_hits = 0
     for graph, config, cache in sessions:
         for _ in range(300):
             ast = _random_query(rng, graph, config, cache)
-            got = evaluate(ast, graph, config, cache)
-            want = reference_evaluate(ast, graph, config, cache)
-            assert got.projection == want.projection
-            assert [(b.key, rep.to_dict()) for b, rep in got.groups] == \
-                [(b.key, rep.to_dict()) for b, rep in want.groups]
-            assert got.ids == want.ids
-            assert got.warnings == want.warnings
+            _assert_matches_reference(ast, graph, config, cache)
             weights = ast.weights or config.weights
             boundary_hits += any(_weighted_doc(rep.quadruple(), weights) == ast.doc_min
                                  for _, rep in cache.scored)
     assert boundary_hits > 100
+
+
+# ten distinct weight vectors, more than a result keeps DOC columns for
+MEMO_WEIGHTS = [*SESSION_WEIGHTS, (0.7, 0.1, 0.1, 0.1), (0.1, 0.7, 0.1, 0.1),
+                (0.1, 0.1, 0.7, 0.1), (0.1, 0.1, 0.1, 0.7), (0.5, 0.5, 0.0, 0.0),
+                (0.0, 0.0, 0.5, 0.5), (1.0, 0.0, 0.0, 0.0)]
+
+
+class TestDocMemo:
+    def test_answers_match_the_reference_as_weights_repeat_and_interleave(self, sessions):
+        rng = random.Random(2024)
+        for graph, config, shared in sessions:
+            cache = replace(shared)   # a fresh memo, whatever ran before
+            # repeats and interleavings, every vector once past the bound,
+            # then the first ones again after they have been dropped
+            order = [0, 1, 0, 2, 1, 0, None, 3, None, *range(10), 0, 1, None, 9, 0]
+            for i in order:
+                weights = None if i is None else MEMO_WEIGHTS[i]
+                for projection in ("bicliques", "products", "reviewers"):
+                    ast = _random_query(rng, graph, config, cache)
+                    _assert_matches_reference(replace(ast, projection=projection,
+                                                      weights=weights),
+                                              graph, config, cache)
+                assert len(cache._docs) <= DOCS_KEPT
+
+    def test_columns_are_recomputed_from_the_quadruples(self, sessions):
+        graph, config, cache = sessions[0]
+        for weights in MEMO_WEIGHTS:
+            assert cache.docs(weights) == tuple(
+                _weighted_doc(rep.quadruple(), weights) for _, rep in cache.scored)
+        # one column per weight vector, however it is spelled
+        assert cache.docs([1, 0, 0, 0]) is cache.docs(("1.0", 0.0, "0", 0))
+        with pytest.raises(BadWeights):
+            cache.docs((0.5, 0.5, 0.5, 0.5))
+
+    def test_keeps_the_most_recently_used_columns(self, sessions):
+        cache = replace(sessions[0][2])
+        first = [cache.docs(w) for w in MEMO_WEIGHTS[:DOCS_KEPT]]
+        assert all(cache.docs(w) is column
+                   for w, column in zip(MEMO_WEIGHTS, first))
+        cache.docs(MEMO_WEIGHTS[0])            # now the most recently used
+        cache.docs(MEMO_WEIGHTS[DOCS_KEPT])    # drops MEMO_WEIGHTS[1]
+        assert len(cache._docs) == DOCS_KEPT
+        assert cache.docs(MEMO_WEIGHTS[0]) is first[0]
+        again = cache.docs(MEMO_WEIGHTS[1])    # recomputed; drops MEMO_WEIGHTS[2]
+        assert again == first[1] and again is not first[1]
+        assert cache.docs(MEMO_WEIGHTS[3]) is first[3]
+        assert cache.docs(MEMO_WEIGHTS[2]) is not first[2]
+        assert len(cache._docs) == DOCS_KEPT
+
+    def test_memo_is_not_part_of_the_result(self):
+        graph, cold = five_block_fixture()
+        warm = replace(cold)
+        for weights in MEMO_WEIGHTS:
+            evaluate(QueryAst(weights=weights), graph, warm.config, warm)
+        assert warm._docs and not cold._docs
+        assert warm.to_dict() == cold.to_dict()
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+
+    def test_results_never_share_a_memo(self):
+        graph, cache = five_block_fixture()
+        cache.docs(MEMO_WEIGHTS[1])
+        copied = replace(cache)
+        rebuilt = DetectionResult(cache.scored, cache.expanded_count, cache.config)
+        loaded = DetectionResult.from_dict(cache.to_dict(), graph)
+        for other in (copied, rebuilt, loaded):
+            assert other._docs == {}
+            assert other.docs(MEMO_WEIGHTS[1]) == cache.docs(MEMO_WEIGHTS[1])
+            assert other.docs(MEMO_WEIGHTS[1]) is not cache.docs(MEMO_WEIGHTS[1])
+        copied.docs(MEMO_WEIGHTS[2])
+        assert MEMO_WEIGHTS[2] not in cache._docs
+        assert MEMO_WEIGHTS[2] not in rebuilt._docs
