@@ -15,10 +15,11 @@ one writer: a detection result (``detect --out`` and ``--report json``)
 goes through ``_write_result``, one scored row at a time, and every other
 JSON document through ``_write_json``.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or query syntax error,
-3 semantic error (bad weights, a config value of the wrong type or out of
-range, a config that is not a JSON object, unknown ids under --strict-ids, a
-malformed snapshot, result, candidate, scored or truth file).
+Exit codes follow one failure rule: 0 success; 2 a usage or query syntax
+error; 3 bad input, which is any ValueError (every named input error, such
+as BadWeights or MissingEdge, is one); 1 any other BcscanError or OSError,
+a runtime failure such as a spent budget or a malformed log line under
+``ingest --strict``. A query, from -e or the REPL, is answered by one path.
 """
 
 from __future__ import annotations
@@ -29,21 +30,20 @@ import io
 import json
 import logging
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
 
 import click
 
 from . import __version__
-from .model import (BadWeights, BcscanError, Biclique, DetectionConfig,
+from .model import (BcscanError, Biclique, DetectionConfig,
                     IndicatorReport, RatingGraph, fields_of, json_objects,
                     read_json_lines, scored_row, validate_weights)
 from . import ingest as ingest_mod
 from .indicators import cumulative_distribution
 from .mining import enumerate_candidates
 from .detector import DetectionResult, detect, route, score_cohort
-from .query import (QuerySemanticError, QuerySyntaxError, UnknownId,
-                    evaluate, parse)
+from .query import QuerySyntaxError, evaluate, parse
 from .synth import (AttackScript, LabeledDataset, TruthGroup, generate,
                     threshold_sweep)
 
@@ -64,7 +64,7 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except QuerySyntaxError as exc:
             _die(2, f"query syntax: {exc}")
-        except (BadWeights, QuerySemanticError, UnknownId, ValueError) as exc:
+        except ValueError as exc:
             _die(3, str(exc))
         except (BcscanError, OSError) as exc:
             _die(1, str(exc))
@@ -146,21 +146,14 @@ _SYNTH_PRUNE = {"prune_reviewer_min": 1, "prune_product_min": 1}
 
 def _echo_out(text: str, out: str | None):
     """Write text to the file ``out``, or to stdout for "-" or None."""
-    if out and out != "-":
-        with open(out, "w", encoding="utf-8") as fp:
-            fp.write(text)
-    else:
-        click.echo(text, nl=False)
+    with _out_file(out or "-") as fp:
+        fp.write(text)
 
 
-@contextmanager
 def _out_file(out: str):
-    """The file ``out`` opened for writing, or stdout for "-"; flushed on
-    leaving, before click.echo writes to stdout again."""
-    with (nullcontext(sys.stdout) if out == "-"
-          else open(out, "w", encoding="utf-8")) as fp:
-        yield fp
-        fp.flush()
+    """The file ``out`` opened for writing, or stdout for "-": the one way
+    every command writes its output."""
+    return nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8")
 
 
 def _write_json(data, out: str):
@@ -172,16 +165,15 @@ def _write_json(data, out: str):
         fp.write("\n")
 
 
-def _write_result(result: DetectionResult, collusive: tuple, out: str):
+def _write_result(result: DetectionResult, out: str):
     """Write a detection result to the file ``out``, or to stdout for "-":
     the text ``_write_json(result.to_dict(), out)`` writes, without building
-    that dict. ``collusive`` is ``result.collusive``, sorted once by the
-    caller. This is the one writer of detection results."""
+    that dict. This is the one writer of detection results."""
     config = json.dumps(result.config.to_dict(), indent=2, sort_keys=True)
     config = config.replace("\n", "\n  ")
     with _out_file(out) as fp:
         fp.write('{\n  "collusive": ')
-        _write_rows(fp, collusive)
+        _write_rows(fp, result.collusive)
         fp.write(f',\n  "config": {config},\n'
                  f'  "examined_count": {result.examined_count!r},\n'
                  f'  "expanded_count": {result.expanded_count!r},\n  "scored": ')
@@ -345,18 +337,17 @@ def detect_cmd(graph_path, config_path, out, report, **overrides):
     """Run the whole detection pass and report every examined group."""
     graph = RatingGraph.load(graph_path)
     result = detect(graph, _build_config(config_path, **overrides))
-    collusive = result.collusive
     if out:
-        _write_result(result, collusive, out)
+        _write_result(result, out)
     if report == "json":
-        _write_result(result, collusive, "-")
+        _write_result(result, "-")
     elif report == "csv":
         _echo_out(_report_csv(result), None)
     else:
         _echo_out(_report_table(result), None)
     click.echo(f"examined {result.examined_count} group(s), "
                f"expanded {result.expanded_count}, "
-               f"flagged {len(collusive)} collusive", err=True)
+               f"flagged {len(result.collusive)} collusive", err=True)
 
 
 def _show_query_result(res, as_json: bool):
@@ -412,44 +403,48 @@ def query_cmd(graph_path, result_path, config_path, query_text, repl, as_json,
                            **overrides)
     if cache is None:
         cache = detect(graph, config)
-    if query_text is not None:
-        _show_query_result(evaluate(parse(query_text), graph, config, cache=cache,
+
+    def answer(statement: str):
+        _show_query_result(evaluate(parse(statement), graph, config, cache=cache,
                                     strict=strict_ids), as_json)
+
+    if query_text is not None:
+        answer(query_text)
     if repl:
-        _run_repl(graph, config, cache, as_json, strict_ids)
+        _run_repl(answer)
 
 
-def _run_repl(graph, config, cache, as_json, strict_ids):
-    try:
-        import readline  # noqa: F401  (line editing when available)
-    except ImportError:
-        pass
+def _run_repl(answer):
+    """Answer each ';'-terminated statement read from stdin; a bad one is
+    reported on stderr and the session goes on. The prompts show only when
+    stdin and stdout are both terminals, where input() edits the line, so a
+    piped session prints exactly what -e prints for each statement."""
+    prompts = sys.stdin.isatty() and sys.stdout.isatty()
+    if prompts:
+        try:
+            import readline  # noqa: F401  (line editing when available)
+        except ImportError:
+            pass
     click.echo("bcscan query prompt; finish statements with ';', "
                "'exit;' leaves", err=True)
     buffer = ""
     while True:
         try:
-            line = input("bcs> " if not buffer else "...> ")
+            line = input(("...> " if buffer else "bcs> ") if prompts else "")
         except EOFError:
             break
         buffer = (buffer + "\n" + line).strip()
-        if not buffer:
-            continue
         if not buffer.endswith(";"):
             continue
         statement, buffer = buffer, ""
         if statement in ("exit;", "quit;"):
             break
         try:
-            res = evaluate(parse(statement), graph, config, cache=cache,
-                           strict=strict_ids)
+            answer(statement)
         except QuerySyntaxError as exc:
             click.echo(f"syntax error: {exc}", err=True)
-            continue
-        except (QuerySemanticError, UnknownId, BadWeights) as exc:
+        except ValueError as exc:
             click.echo(f"semantic error: {exc}", err=True)
-            continue
-        _show_query_result(res, as_json)
 
 
 @cli.command()

@@ -6,6 +6,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import fsum
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -66,11 +67,11 @@ class DetectionResult:
     checks that order: group keys must strictly increase (ValueError
     otherwise), so no group is listed twice.
 
-    A result also remembers the DOC column of the last few weight vectors
-    ``docs`` was asked for, so repeated queries do not re-aggregate every
-    group. That memo is not part of the result's value: it stays out of
-    ``to_dict``, equality and hashing, and ``dataclasses.replace`` starts
-    the new result with an empty one.
+    A result also remembers its sorted ``collusive`` tuple and the DOC
+    column of the last few weight vectors ``docs`` was asked for, so neither
+    is built twice. These memos are not part of the result's value: they
+    stay out of ``to_dict``, equality, hashing and repr, and
+    ``dataclasses.replace`` starts the new result without them.
     """
 
     scored: tuple[tuple[Biclique, IndicatorReport], ...]
@@ -87,7 +88,7 @@ class DetectionResult:
                                  "in canonical order (sorted by reviewers, then "
                                  "products, each group once)")
 
-    @property
+    @cached_property
     def collusive(self) -> tuple[tuple[Biclique, IndicatorReport], ...]:
         """The scored groups routed "collusive", by descending DOC."""
         delta = self.config.delta

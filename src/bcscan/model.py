@@ -18,10 +18,12 @@ WEIGHT_TOLERANCE = 1e-9
 
 
 class BcscanError(Exception):
-    """Base class for every error this package raises on purpose."""
+    """Base class for every error this package raises on purpose. The
+    failure rule: one raised by bad input is also a ValueError, on which the
+    CLI exits 3; QuerySyntaxError exits 2 and any other error exits 1."""
 
 
-class DuplicateEdge(BcscanError):
+class DuplicateEdge(BcscanError, ValueError):
     """A (reviewer, product) pair appeared twice while building a graph.
 
     Duplicate opinions must be collapsed during ingest; the graph itself
@@ -34,7 +36,7 @@ class DuplicateEdge(BcscanError):
         self.product = product
 
 
-class MissingEdge(BcscanError):
+class MissingEdge(BcscanError, ValueError):
     """A requested group is not a complete rectangle in the graph."""
 
     def __init__(self, reviewer: str, product: str):
@@ -43,7 +45,7 @@ class MissingEdge(BcscanError):
         self.product = product
 
 
-class BadWeights(BcscanError):
+class BadWeights(BcscanError, ValueError):
     """Indicator weights must be four non-negative reals summing to 1."""
 
 

@@ -29,14 +29,14 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import NamedTuple, Sequence
 
-from .model import (BadWeights, Biclique, DetectionConfig, IndicatorReport, RatingGraph,
-                    scored_row, validate_weights)
+from .model import (BadWeights, BcscanError, Biclique, DetectionConfig,
+                    IndicatorReport, RatingGraph, scored_row, validate_weights)
 from .detector import DetectionResult
 
 log = logging.getLogger(__name__)
 
 
-class QuerySyntaxError(Exception):
+class QuerySyntaxError(BcscanError):
     """Malformed query text; carries the character position."""
 
     def __init__(self, message: str, position: int):
@@ -44,11 +44,11 @@ class QuerySyntaxError(Exception):
         self.position = position
 
 
-class QuerySemanticError(Exception):
+class QuerySemanticError(BcscanError, ValueError):
     """Well-formed query with impossible semantics (weights, ranges, dupes)."""
 
 
-class UnknownId(Exception):
+class UnknownId(BcscanError, ValueError):
     """A filter references an id absent from the graph (strict mode only)."""
 
 

@@ -17,7 +17,7 @@ HONEST_DAYS = 365
 NOISE_SIGMA = 0.7
 
 
-class InfeasibleScript(BcscanError):
+class InfeasibleScript(BcscanError, ValueError):
     """An attack script that cannot be realised on the given catalogue."""
 
 

@@ -279,6 +279,14 @@ class TestExitCodes:
                                   "--out", str(tmp_path / "d.csv")])
         assert res.exit_code == 3
 
+    def test_attack_with_more_targets_than_products_is_3(self, runner, tmp_path):
+        res = runner.invoke(cli, ["synth", "generate", "--products", "3",
+                                  "--attack", "size=4,targets=5",
+                                  "--out", str(tmp_path / "d.csv")])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "error: attack wants 5 targets, catalogue has 3" in res.stderr
+
     def test_query_weights_flag_reweights_the_cached_reports(self, runner, tmp_path):
         _, _, graph = seed_pipeline(runner, tmp_path)
         cached = tmp_path / "r.json"
@@ -377,8 +385,9 @@ def _repeat_a_collusive_group(result: dict) -> dict:
             "collusive": [row] + result["collusive"]}
 
 
-# Each malformed input: the file, the JSONL line edited (None: the whole JSON
-# document), the edit, the command that reads the file, and the error text.
+# Each malformed input: the file, the JSONL line edited (a slice: the list of
+# those lines; None: the whole JSON document), the edit, the command that
+# reads the file, and the error text.
 MALFORMED = {
     "snapshot-header-without-max_value":
         ("graph", 0, lambda h: _without(h, "max_value"), "detect", "'max_value'"),
@@ -466,6 +475,16 @@ MALFORMED = {
         ("result", None, lambda r: {**r, "scored": [{**r["scored"][0], "doc": "0.5"},
                                                     *r["scored"][1:]]},
          "query", "doc must be a number, got '0.5'"),
+    # the first seed-21 group's members each rated 3 of the 12 products
+    "result-scored-row-product-not-rated-by-all":
+        ("result", None, lambda r: {**r, "scored": [
+            {**r["scored"][0], "products": [f"p{i:04d}" for i in range(12)]},
+            *r["scored"][1:]]}, "query", "no rating by"),
+    "candidate-ids-not-in-graph":
+        ("cands", 0, lambda row: {**row, "reviewers": ["ghost1", "ghost2"]},
+         "indicators", "no rating by 'ghost1'"),
+    "snapshot-second-edge-repeats-the-first":
+        ("graph", slice(1, 2), lambda edges: edges * 2, "detect", "duplicate edge for"),
 }
 
 
@@ -498,7 +517,10 @@ def test_malformed_input_file_exits_3_with_an_error_line(runner, tmp_path, case)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     else:
         lines = path.read_text().splitlines()
-        lines[line] = json.dumps(edit(json.loads(lines[line])))
+        if isinstance(line, slice):
+            lines[line] = map(json.dumps, edit([json.loads(l) for l in lines[line]]))
+        else:
+            lines[line] = json.dumps(edit(json.loads(lines[line])))
         path.write_text("\n".join(lines) + "\n")
     res = runner.invoke(cli, commands[command])
     assert res.exit_code == 3, res.output
@@ -546,7 +568,23 @@ class TestRepl:
         expected = "".join(f"{n:>4}  doc={doc:.4f}  di={row['di']:.4f}  "
                            f"{','.join(row['reviewers'])} -> {','.join(row['products'])}\n"
                            for n, (row, doc) in enumerate(kept, 1))
-        assert res.stdout.split("bcs> ") == [expected, expected, expected, ""]
+        assert res.stdout == expected * 3
+
+    def test_piped_session_prints_what_e_prints(self, runner, tmp_path):
+        _, _, graph = seed_pipeline(runner, tmp_path)
+        result = tmp_path / "result.json"
+        assert run(runner, "detect", "--graph", str(graph),
+                   "--out", str(result)).exit_code == 0
+        good = ["getbicliques(0.4,0.3,0.2,0.1) filter{ DOC > 0.3; };",
+                "getbicliques.products();"]
+        query = ["query", "--graph", str(graph), "--result", str(result)]
+        once = [run(runner, *query, "-e", text) for text in good]
+        assert all(r.exit_code == 0 and r.stdout for r in once)
+        res = run(runner, *query, "--repl",
+                  input=f"{good[0]}\ngetbicliques(;\n{good[1]}\nexit;\n")
+        assert res.exit_code == 0
+        assert res.stdout == "".join(r.stdout for r in once)
+        assert "syntax error:" in res.stderr and "syntax error" not in res.stdout
 
 
 class TestReports:
@@ -639,7 +677,7 @@ class TestResultWriter:
         assert results[-1].scored == ()
         path = tmp_path / "r.json"
         for result in results:
-            _write_result(result, result.collusive, str(path))
+            _write_result(result, str(path))
             assert path.read_text(encoding="utf-8") == _dumped(result)
 
     @pytest.mark.parametrize("graph", [_odd_id_graph(), make_graph([])],

@@ -485,6 +485,8 @@ class TestDocMemo:
         for weights in MEMO_WEIGHTS:
             evaluate(QueryAst(weights=weights), graph, warm.config, warm)
         assert warm._docs and not cold._docs
+        assert warm.collusive is warm.collusive    # sorted once, then kept
+        assert "collusive" not in vars(replace(warm))
         assert warm.to_dict() == cold.to_dict()
         assert warm == cold and hash(warm) == hash(cold)
         assert repr(warm) == repr(cold)
