@@ -354,9 +354,9 @@ def _show_query_result(res, as_json: bool):
     if as_json:
         _write_json(res.to_dict(), "-")
         return
-    out = io.StringIO()
     for warning in res.warnings:
-        out.write(f"warning: {warning}\n")
+        click.echo(f"warning: {warning}", err=True)
+    out = io.StringIO()
     if res.projection == "bicliques":
         if not res.groups:
             out.write("no matching groups\n")
@@ -455,7 +455,11 @@ def _run_repl(answer):
               help="CSV path (default stdout).")
 @_guarded
 def stats(scored_path, out, **overrides):
-    """Cumulative distribution of every indicator over scored groups."""
+    """Cumulative distribution of every indicator over scored groups.
+
+    Rows are labelled collusive or other by each row's stored doc against
+    --delta: scored JSONL records no weights, so doc is not recomputed.
+    """
     delta = _build_config(None, **overrides).delta
     with fields_of("scored file"):
         reports = [IndicatorReport.from_dict(row)

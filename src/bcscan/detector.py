@@ -67,11 +67,12 @@ class DetectionResult:
     checks that order: group keys must strictly increase (ValueError
     otherwise), so no group is listed twice.
 
-    A result also remembers its sorted ``collusive`` tuple and the DOC
-    column of the last few weight vectors ``docs`` was asked for, so neither
-    is built twice. These memos are not part of the result's value: they
-    stay out of ``to_dict``, equality, hashing and repr, and
-    ``dataclasses.replace`` starts the new result without them.
+    A result also remembers its sorted ``collusive`` tuple, its four
+    behavioural indicator columns and the DOC column of the last few weight
+    vectors ``docs`` was asked for, so none is built twice. These memos are
+    not part of the result's value: they stay out of ``to_dict``, equality,
+    hashing and repr, and ``dataclasses.replace`` starts the new result
+    without them.
     """
 
     scored: tuple[tuple[Biclique, IndicatorReport], ...]
@@ -96,6 +97,12 @@ class DetectionResult:
                              if route(rep, delta) == "collusive"),
                             key=lambda br: (-br[1].doc, br[0].key)))
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[float, ...], ...]:
+        """The scored groups' gvs, gts, grs and gms, one tuple each, in
+        scored order; () when nothing was scored."""
+        return tuple(zip(*[(r.gvs, r.gts, r.grs, r.gms) for _, r in self.scored]))
+
     @property
     def examined_count(self) -> int:
         return len(self.scored)
@@ -104,16 +111,24 @@ class DetectionResult:
         """The DOC of every scored group under ``weights``, in scored order.
 
         Each value is re-aggregated from the group's indicator quadruple,
-        never read from its stored ``doc``. BadWeights if the weights are
-        invalid. The columns of the DOCS_KEPT most recently used weight
+        never read from its stored ``doc``, and equals
+        ``_weighted_doc(rep.quadruple(), weights)`` bit for bit. A new weight
+        vector costs one pass over the four indicator columns, clamped to
+        [0, 1] only when a value falls outside. BadWeights if the weights
+        are invalid. The columns of the DOCS_KEPT most recently used weight
         vectors are kept, so a repeated weight vector costs no arithmetic.
         """
         weights = validate_weights(weights)
         memo = self._docs
         column = memo.pop(weights, None)
         if column is None:
-            column = tuple(_weighted_doc(rep.quadruple(), weights)
-                           for _, rep in self.scored)
+            w0, w1, w2, w3 = weights
+            column = [fsum((a * w0, b * w1, c * w2, d * w3))
+                      for a, b, c, d in zip(*self._columns)]
+            # weights within WEIGHT_TOLERANCE of summing to 1 can spill past 1
+            if column and (min(column) < 0.0 or max(column) > 1.0):
+                column = [min(1.0, max(0.0, v)) for v in column]
+            column = tuple(column)
             if len(memo) >= DOCS_KEPT:
                 del memo[next(iter(memo))]
         memo[weights] = column

@@ -23,7 +23,6 @@ exceeders.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -32,8 +31,6 @@ from typing import NamedTuple, Sequence
 from .model import (BadWeights, BcscanError, Biclique, DetectionConfig,
                     IndicatorReport, RatingGraph, scored_row, validate_weights)
 from .detector import DetectionResult
-
-log = logging.getLogger(__name__)
 
 
 class QuerySyntaxError(BcscanError):
@@ -256,12 +253,15 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
     order. Query weights override the config's; each group's DOC is
     re-aggregated from its cached indicator quadruple, never re-mined, and
     read from ``cache.docs``, which computes a weight vector's DOC column
-    once and reuses it for later queries under the same weights. The
-    effective DOC floor is the query's threshold, or delta when the query
-    names none; matches must exceed it strictly. A kept group keeps its
-    cached report when the re-aggregated DOC equals the cached one, as it
-    does under the weights ``detect`` scored the cache with; only a group
-    whose DOC changes gets a new report.
+    in one pass over the cache's indicator columns and reuses it for later
+    queries under the same weights. The effective DOC floor is the query's
+    threshold, or delta when the query names none; matches must exceed it
+    strictly. A kept group whose re-aggregated DOC equals the cached one, as
+    it does under the weights ``detect`` scored the cache with, is returned
+    as the cached ``(group, report)`` pair itself; only a group whose DOC
+    changes gets a new pair and report. An unknown filter id raises
+    UnknownId under ``strict``, and otherwise only adds a warning to the
+    result.
     """
     docs = cache.docs(ast.weights if ast.weights is not None else config.weights)
     floor = float(ast.doc_min if ast.doc_min is not None else config.delta)
@@ -275,18 +275,16 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
                 if strict:
                     raise UnknownId(message)
                 warnings.append(message)
-                log.warning("%s", message)
 
-    # ((group, rep), doc) for each strict exceeder of the floor
+    # (cached pair, doc) for each strict exceeder of the floor
     kept = compress(zip(cache.scored, docs), map(floor.__lt__, docs))
     if ast.on:
         on = set(ast.on)
-        kept = [((group, rep), doc) for (group, rep), doc in kept
-                if on.issubset(group.products)]
+        kept = [(pair, doc) for pair, doc in kept if on.issubset(pair[0].products)]
     if ast.contains:
         contains = set(ast.contains)
-        kept = [((group, rep), doc) for (group, rep), doc in kept
-                if contains.issubset(group.reviewers)]
+        kept = [(pair, doc) for pair, doc in kept
+                if contains.issubset(pair[0].reviewers)]
 
     if ast.projection == "products":
         ids = sorted(set(chain.from_iterable(group.products for (group, _), _ in kept)))
@@ -295,7 +293,13 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
         ids = sorted(set(chain.from_iterable(group.reviewers for (group, _), _ in kept)))
         return QueryResult("reviewers", ids=tuple(ids), warnings=tuple(warnings))
     # only the bicliques projection shows reports, re-weighted to the query
-    groups = tuple((group, rep if doc == rep.doc else
-                    IndicatorReport(*rep.quadruple(), rep.gs, rep.gps, doc, rep.di))
-                   for (group, rep), doc in kept)
+    groups = tuple(pair if doc == pair[1].doc else _reweighted(pair, doc)
+                   for pair, doc in kept)
     return QueryResult("bicliques", groups=groups, warnings=tuple(warnings))
+
+
+def _reweighted(pair: tuple[Biclique, IndicatorReport], doc: float,
+                ) -> tuple[Biclique, IndicatorReport]:
+    """A cached pair whose report carries ``doc`` in place of its own."""
+    group, rep = pair
+    return group, IndicatorReport(*rep.quadruple(), rep.gs, rep.gps, doc, rep.di)

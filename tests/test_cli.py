@@ -244,7 +244,11 @@ class TestExitCodes:
         res = run(runner, "query", "--graph", str(graph),
                   "-e", "getbicliques() filter{ on(ghost); };")
         assert res.exit_code == 0
-        assert "warning" in res.output
+        # reported once, on stderr; stdout holds only the answer
+        assert "warning" not in res.stdout
+        assert res.stdout == "no matching groups\n"
+        assert res.stderr.count("warning") == 1
+        assert res.stderr == "warning: unknown product id 'ghost'\n"
 
     def test_missing_input_file_is_usage_error(self, runner):
         res = runner.invoke(cli, ["detect", "--graph", "nope.jsonl"])

@@ -2,16 +2,18 @@
 
 import random
 from dataclasses import replace
+from math import fsum
 
 import pytest
 
 from bcscan import synth
 from bcscan.detector import DOCS_KEPT, DetectionResult, _weighted_doc, detect
 from bcscan.ingest import ingest_ratings
-from bcscan.model import BadWeights, Biclique, DetectionConfig, IndicatorReport
+from bcscan.model import (BadWeights, Biclique, DetectionConfig, IndicatorReport,
+                          RatingGraph)
 from bcscan.query import (QueryAst, QuerySemanticError, QuerySyntaxError,
                           UnknownId, evaluate, parse, pretty)
-from testutil import make_graph, reference_evaluate
+from testutil import make_graph, reference_evaluate, reference_weighted_doc
 
 
 class TestParse:
@@ -353,29 +355,42 @@ def sessions():
 class TestNoCopy:
     def test_session_weights_return_the_cached_reports(self, sessions):
         for graph, config, cache in sessions:
-            cached = {b.key: rep for b, rep in cache.scored}
+            cached = {pair[0].key: pair for pair in cache.scored}
             for ast in (QueryAst(doc_min=0.0), QueryAst(weights=config.weights)):
                 groups = evaluate(ast, graph, config, cache).groups
                 assert groups
-                assert all(rep is cached[b.key] for b, rep in groups)
+                assert all(pair is cached[pair[0].key] for pair in groups)
 
     def test_reweighted_query_builds_new_reports_and_leaves_the_cache(self, sessions):
-        for graph, config, cache in sessions:
+        # the hand-written result's first, third and fifth groups have equal
+        # indicators, so no weight vector moves their DOC
+        flat = {"gvs": 0.5, "gts": 0.5, "grs": 0.5, "gms": 0.5, "gs": 1.0,
+                "gps": 1.0, "doc": 0.5, "di": 1.0}
+        skewed = {**flat, "gvs": 0.9, "gms": 0.1}
+        mixed_graph, mixed = _hand_written([flat, skewed, flat, skewed, flat])
+        changed = kept = 0
+        for graph, config, cache in [*sessions, (mixed_graph, mixed.config, mixed)]:
             before = [(b.key, rep.to_dict()) for b, rep in cache.scored]
-            cached = {b.key: rep for b, rep in cache.scored}
+            cached = {pair[0].key: pair for pair in cache.scored}
             weights = next(w for w in SESSION_WEIGHTS if w != config.weights)
             groups = evaluate(QueryAst(weights=weights, doc_min=0.0),
                               graph, config, cache).groups
-            changed = 0
-            for b, rep in groups:
-                old = cached[b.key]
+            assert len(groups) == len(cache.scored)
+            for pair in groups:
+                b, rep = pair
+                old_pair = cached[b.key]
+                old = old_pair[1]
                 assert rep.doc == _weighted_doc(old.quadruple(), weights)
                 assert {**rep.to_dict(), "doc": None} == {**old.to_dict(), "doc": None}
                 if rep.doc != old.doc:
-                    assert rep is not old
+                    assert pair is not old_pair and rep is not old
+                    assert b is old_pair[0]
                     changed += 1
-            assert changed
+                else:
+                    assert pair is old_pair
+                    kept += 1
             assert [(b.key, rep.to_dict()) for b, rep in cache.scored] == before
+        assert changed > kept == 3
 
 
 def _random_query(rng: random.Random, graph, config, cache) -> QueryAst:
@@ -486,7 +501,8 @@ class TestDocMemo:
             evaluate(QueryAst(weights=weights), graph, warm.config, warm)
         assert warm._docs and not cold._docs
         assert warm.collusive is warm.collusive    # sorted once, then kept
-        assert "collusive" not in vars(replace(warm))
+        assert warm._columns is warm._columns      # built once, then kept
+        assert not {"collusive", "_columns"} & set(vars(replace(warm)))
         assert warm.to_dict() == cold.to_dict()
         assert warm == cold and hash(warm) == hash(cold)
         assert repr(warm) == repr(cold)
@@ -504,3 +520,90 @@ class TestDocMemo:
         copied.docs(MEMO_WEIGHTS[2])
         assert MEMO_WEIGHTS[2] not in cache._docs
         assert MEMO_WEIGHTS[2] not in rebuilt._docs
+
+
+def _hand_written(reports) -> tuple[RatingGraph, DetectionResult]:
+    """The five-block graph and a result over its groups with the given
+    report fields, loaded as a result.json holding them would be."""
+    graph, shape = five_block_fixture()
+    data = shape.to_dict()
+    data["scored"] = [{**b.to_dict(), **rep} for (b, _), rep in zip(shape.scored, reports)]
+    data["collusive"] = sorted(
+        (row for row in data["scored"] if row["doc"] > shape.config.delta),
+        key=lambda row: (-row["doc"], row["reviewers"], row["products"]))
+    return graph, DetectionResult.from_dict(data, graph)
+
+
+def _bits(column) -> list[str]:
+    return [float.hex(v) for v in column]
+
+
+class TestDocColumns:
+    """``docs`` computes a column from the cached indicator columns; each
+    value must equal the per-group ``_weighted_doc`` bit for bit."""
+
+    def test_empty_result_gives_an_empty_column(self):
+        empty = DetectionResult((), 0, DetectionConfig())
+        for weights in MEMO_WEIGHTS:
+            assert empty.docs(weights) == ()
+
+    def test_int_valued_indicators_match_the_per_group_doc(self):
+        reports = [{"gvs": 1, "gts": 0.5, "grs": 0, "gms": 0, "gs": 1, "gps": 1,
+                    "doc": 0.375, "di": 1},
+                   {"gvs": 0, "gts": 0, "grs": 0, "gms": 0, "gs": 1, "gps": 1,
+                    "doc": 0, "di": 1},
+                   {"gvs": 1, "gts": 1, "grs": 1, "gms": 1, "gs": 1, "gps": 1,
+                    "doc": 1, "di": 1},
+                   {"gvs": 0.3, "gts": 1, "grs": 0.25, "gms": 0, "gs": 1, "gps": 0.5,
+                    "doc": 0.3875, "di": 0.75},
+                   {"gvs": 0, "gts": 0.1, "grs": 1, "gms": 0, "gs": 0.5, "gps": 1,
+                    "doc": 0.275, "di": 0.75}]
+        _, cache = _hand_written(reports)
+        assert any(type(rep.gms) is int for _, rep in cache.scored)
+        for weights in MEMO_WEIGHTS:
+            column = cache.docs(weights)
+            assert all(type(v) is float for v in column)
+            assert _bits(column) == _bits(_weighted_doc(rep.quadruple(), weights)
+                                          for _, rep in cache.scored)
+
+    def test_weights_within_tolerance_of_one_clamp_to_exactly_one(self):
+        ones = {"gvs": 1.0, "gts": 1.0, "grs": 1.0, "gms": 1.0, "gs": 1.0, "gps": 1.0,
+                "doc": 1.0, "di": 1.0}
+        half = {**ones, "gvs": 0.5, "doc": 0.875}
+        _, cache = _hand_written([ones, half, ones, half, ones])
+        # sums to 1 + 9e-10, inside WEIGHT_TOLERANCE (exactly 1 + 1e-9 is
+        # not, once rounded), so an all-1.0 group's sum spills past 1
+        weights = (0.25, 0.25, 0.25, 0.2500000009)
+        assert fsum(w * 1.0 for w in weights) > 1.0
+        column = cache.docs(weights)
+        assert _bits(column) == _bits(_weighted_doc(rep.quadruple(), weights)
+                                      for _, rep in cache.scored)
+        assert [column[i] for i in (0, 2, 4)] == [1.0, 1.0, 1.0]
+        assert column[1] == fsum((0.5 * 0.25, 0.25, 0.25, 0.2500000009)) < 1.0
+
+    def test_random_indicators_and_weights_match_the_reference_bit_for_bit(self, sessions):
+        rng = random.Random(1919)
+        _, config, cache = sessions[0]
+
+        def value():
+            pick = rng.random()
+            if pick < 0.1:
+                return rng.choice([0, 1, 0.0, 1.0])
+            return rng.random()
+
+        for _ in range(40):
+            scored = tuple((b, IndicatorReport(value(), value(), value(), value(),
+                                               1.0, 1.0, 0.5, 1.0))
+                           for b, _ in cache.scored)
+            result = DetectionResult(scored, 0, config)
+            for _ in range(5):
+                parts = [rng.choice([0, rng.random()]) for _ in range(3)]
+                parts.append(rng.random() + 1e-3)
+                total = fsum(parts)
+                weights = [p / total for p in parts]
+                if rng.random() < 0.3:   # push the sum to the tolerance's edge
+                    weights[3] += rng.choice([-9e-10, 9e-10])
+                weights = tuple(weights)
+                assert _bits(result.docs(weights)) == _bits(
+                    reference_weighted_doc(rep.quadruple(), weights)
+                    for _, rep in scored)
