@@ -12,6 +12,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from math import fsum, sqrt
+from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .model import BcscanError, Biclique, IndicatorReport, RatingGraph
@@ -41,15 +42,26 @@ def group_value_similarity(group: Biclique) -> float:
     """GVS: the worst (minimum) pairwise value similarity inside the group.
 
     One disagreeing member drags the whole group down, which is the point:
-    colluders vote alike.
+    colluders vote alike. Each pair's cosine is computed as in ``_cosine``,
+    bit for bit, with each member's vector read from its graph row and its
+    norm taken once.
     """
     members = group.reviewers
     if len(members) < 2:
         raise GroupTooSmall("group value similarity needs >= 2 reviewers")
-    vectors = [group.values_of(r) for r in members]
-    return min(_cosine(vectors[i], vectors[j])
-               for i in range(len(members) - 1)
-               for j in range(i + 1, len(members)))
+    rows = group.graph._by_reviewer
+    products = group.products
+    worst = 1.0
+    earlier: list[tuple[list[float], float]] = []
+    for row in map(rows.__getitem__, members):
+        b = [row[p].value for p in products]
+        norm = sqrt(fsum(map(mul, b, b)))
+        for a, other in earlier:
+            # identical vectors are similarity 1, which never lowers the minimum
+            if a != b:
+                worst = min(worst, fsum(map(mul, a, b)) / (other * norm))
+        earlier.append((b, norm))
+    return worst
 
 
 def product_time_window(group: Biclique, product: str, max_tw: int) -> float:
@@ -65,15 +77,27 @@ def product_time_window(group: Biclique, product: str, max_tw: int) -> float:
 
 
 def group_time_similarity(group: Biclique, max_tw: int) -> float:
-    """GTS: the tightest posting window over the group's products."""
-    return max(product_time_window(group, p, max_tw) for p in group.products)
+    """GTS: the tightest posting window over the group's products.
+
+    A window's tightness falls as its span grows, so this is the window of
+    the narrowest span, equal bit for bit to the best ``product_time_window``.
+    """
+    columns = group.graph._by_product
+    reviewers = group.reviewers
+    span = min([max(times) - min(times) for times in
+                ([col[r].time for r in reviewers]
+                 for col in map(columns.__getitem__, group.products))])
+    if span > max_tw:
+        return 0.0
+    return 1.0 - span / max_tw
 
 
 def group_rating_spamicity(group: Biclique) -> float:
     """GRS: value-weighted average spamicity of the group's edges."""
     edges = group.edges
-    total = fsum(e.value for e in edges)
-    return fsum(e.value * e.spamicity for e in edges) / total
+    values = [e.value for e in edges]
+    # fsum is exact before its one rounding, so the order of the terms is free
+    return fsum(map(mul, values, [e.spamicity for e in edges])) / fsum(values)
 
 
 class ProductConsensus(NamedTuple):
@@ -139,8 +163,7 @@ def build_suspiciousness(graph: RatingGraph) -> SuspiciousnessTable:
 def group_member_suspiciousness(group: Biclique,
                                 table: SuspiciousnessTable) -> float:
     """GMS: share of the group's members flagged in the global table."""
-    hits = sum(1 for r in group.reviewers if r in table.suspicious)
-    return hits / len(group.reviewers)
+    return len(table.suspicious.intersection(group.reviewers)) / len(group.reviewers)
 
 
 class CumulativePoint(NamedTuple):

@@ -3,14 +3,17 @@
 ``enumerate_candidates`` lists every maximal complete reviewer x product
 rectangle meeting the size floors: take any qualifying product set, the
 reviewers are exactly those who rated all of it, and neither side can be
-grown without losing completeness. This is closed-itemset enumeration with
-reviewers as transactions and products as items, walked LCM-style. A group
-holds its members as a set of reviewer numbers and its products as a
-bitmask. Extending it by a product intersects the members with that
-product's raters; the closure is the AND of the remaining members' product
-bitmasks. A group is extended only by products at least two of its members
-rated (one, when the reviewer floor is below 2), since any other product
-leaves too few members.
+grown without losing completeness. This is closed-itemset enumeration,
+walked LCM-style over one side of the graph: over reviewer sets when the
+product floor is the larger (the default 2/3), over product sets otherwise.
+Each closed set on one side has exactly one partner set on the other, so
+both walks find the same groups; the walked side is the one whose extensions
+the larger floor prunes. A node holds its walked set as a bitmask and its
+partners as a set of numbers. Extending it by one walked item intersects
+the partners with that item's holders; the closure is the AND of the
+remaining partners' bitmasks. A node is extended only by items that at
+least the partner floor's count of its partners hold, since any other item
+leaves too few partners.
 
 ``find_sub_bicliques`` searches inside one rectangle for tighter sub-groups
 by merging single ratings bottom-up, keeping only merges that still look
@@ -20,8 +23,8 @@ collusive.
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_
-from typing import Iterator
+from operator import and_, or_
+from typing import Callable, Iterator, Sequence
 
 from .model import BcscanError, Biclique, DetectionConfig, RatingGraph
 from .indicators import group_time_similarity, group_value_similarity
@@ -46,74 +49,120 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _held_at_least(k: int, masks: Iterator[int]) -> int:
+    """The bits set in at least ``k`` of ``masks``, for ``k`` up to 3 (in
+    at least one when ``k`` is below 1): one running OR per count."""
+    if k <= 1:
+        return reduce(or_, masks, 0)
+    once = twice = 0
+    if k == 2:
+        for items in masks:
+            twice |= once & items
+            once |= items
+        return twice
+    thrice = 0
+    for items in masks:
+        thrice |= twice & items
+        twice |= once & items
+        once |= items
+    return thrice
+
+
+def _closed_sets(holders: Sequence[str], items: Sequence[str],
+                 items_of: Callable[[str], Sequence[str]],
+                 min_holders: int, min_items: int,
+                 cap: int) -> list[tuple[frozenset, int]]:
+    """Every closed item set held by >= min_holders holders and holding
+    >= min_items items, as (holder numbers, item bitmask) pairs.
+
+    Holders and items are numbered in the given order. A node of the walk
+    is a closed item set, held as a bitmask, and its holders, held as a set
+    of numbers. The walk extends a node one item at a time and keeps an
+    extension only when its closure adds no item before the one just added,
+    so every closed set is visited exactly once. An extension's holders are
+    the node's holders of the new item, one set intersection; its closure
+    is the AND of those holders' item bitmasks. Only items at least
+    ``min_holders`` of the node's holders hold are tried, since an extension
+    by any other item keeps too few holders.
+    Raises BudgetExceeded once more than ``cap`` sets qualify.
+    """
+    number = {x: j for j, x in enumerate(items)}
+    bit = [1 << j for j in range(len(items))]
+    holders_of: list[list[int]] = [[] for _ in items]
+    holds = []
+    for t, h in enumerate(holders):
+        mask = 0
+        for x in items_of(h):
+            j = number[x]
+            mask |= bit[j]
+            holders_of[j].append(t)
+        holds.append(mask)
+    held_by = [frozenset(ts) for ts in holders_of]
+    holding = holds.__getitem__
+
+    found: list[tuple[frozenset, int]] = []
+    stack = [(reduce(and_, holds), frozenset(range(len(holders))), 0)]
+    while stack:
+        closed, members, start = stack.pop()
+        if len(members) >= min_holders and closed.bit_count() >= min_items:
+            found.append((members, closed))
+            if len(found) > cap:
+                raise BudgetExceeded(len(found), cap)
+        # conditional database: items at or after start, not yet closed,
+        # held by enough of the node's holders (counted up to three, which
+        # is what pays; a deeper floor is checked on the extension); any
+        # other item leaves too few holders
+        tail = (_held_at_least(min(min_holders, 3), map(holding, members))
+                & ~closed & -(1 << start))
+        while tail:
+            low = tail & -tail
+            tail ^= low
+            extended = members & held_by[low.bit_length() - 1]
+            if len(extended) < min_holders:
+                continue
+            new_closed = reduce(and_, map(holding, extended))
+            # canonical extension: the closure may only add items at or
+            # beyond this one, otherwise this set is reached via a smaller prefix
+            if new_closed & ~closed & (low - 1):
+                continue
+            stack.append((new_closed, extended, low.bit_length()))
+    return found
+
+
 def enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: int = 3,
                          cap: int = 100_000) -> list[Biclique]:
     """Enumerate all maximal bicliques with >= min_r reviewers and >= min_p
     products, in key order.
 
-    Reviewers and products are numbered in sorted order. A node of the walk
-    is a closed product set, held as a bitmask over the products, and its
-    members, held as a set of reviewer numbers. The walk extends a node one
-    product at a time and keeps an extension only when its closure adds no
-    product before the one just added, so every closed set is visited
-    exactly once. An extension's members are the node's members who rated
-    the new product, one set intersection; its closure is the AND of those
-    members' product bitmasks. Only products at least two members rated are
-    tried (any one member's, when ``min_r`` is below 2), since an extension
-    by any other product keeps too few members.
+    The closed-set walk (``_closed_sets``) runs over reviewer sets, with
+    products as holders, when ``min_p > min_r``, and over product sets, with
+    reviewers as holders, otherwise. Either way a node is extended only by
+    items that at least the partner side's floor of its holders hold: with
+    the default floors, reviewers who rated three of the node's products.
+    Both walks visit each qualifying group once, so the groups and the
+    ``BudgetExceeded`` count are the same whichever side is walked.
     Raises BudgetExceeded once more than ``cap`` candidates qualify.
     """
     reviewers = graph.reviewers
     products = graph.products
-    # the root's closure is the AND over every reviewer, so it needs one
-    if len(reviewers) < max(min_r, 1) or len(products) < min_p:
+    # the root's closure is the AND over every holder, so each side needs one
+    if len(reviewers) < max(min_r, 1) or len(products) < max(min_p, 1):
         return []
-    number = {r: i for i, r in enumerate(reviewers)}
-    raters = [frozenset(number[r] for r in graph.reviewers_of(p)) for p in products]
-    item_of = {p: 1 << j for j, p in enumerate(products)}
-    rated = []
-    for r in reviewers:
-        items = 0
-        for p in graph.products_of(r):
-            items |= item_of[p]
-        rated.append(items)
-
-    found: list[tuple[frozenset, int]] = []
-    stack = [(reduce(and_, rated), frozenset(range(len(reviewers))), 0)]
-    while stack:
-        closed, members, start = stack.pop()
-        if len(members) >= min_r and closed.bit_count() >= min_p:
-            found.append((members, closed))
-            if len(found) > cap:
-                raise BudgetExceeded(len(found), cap)
-        # conditional database: products at or after start, not yet closed,
-        # rated by two members (by one when min_r is below 2); any other
-        # extension has too few members left
-        once = twice = 0
-        for i in members:
-            items = rated[i]
-            twice |= once & items
-            once |= items
-        tail = (twice if min_r >= 2 else once) & ~closed & -(1 << start)
-        while tail:
-            low = tail & -tail
-            tail ^= low
-            extended = members & raters[low.bit_length() - 1]
-            if len(extended) < min_r:
-                continue
-            new_closed = reduce(and_, map(rated.__getitem__, extended))
-            # canonical extension: the closure may only add products at or
-            # beyond this one, otherwise this set is reached via a smaller prefix
-            if new_closed & ~closed & (low - 1):
-                continue
-            stack.append((new_closed, extended, low.bit_length()))
-
-    out = []
-    for members, closed in found:
-        rs = [reviewers[i] for i in members]
-        ps = [products[j] for j in _bits(closed)]
-        out.append(Biclique.from_graph(rs, ps, graph))
-    return sorted(out, key=lambda b: b.key)
+    if min_p > min_r:
+        pairs = [(list(_bits(closed)), sorted(members)) for members, closed in
+                 _closed_sets(products, reviewers, graph.reviewers_of,
+                              min_p, min_r, cap)]
+    else:
+        pairs = [(sorted(members), list(_bits(closed))) for members, closed in
+                 _closed_sets(reviewers, products, graph.products_of,
+                              min_r, min_p, cap)]
+    # both sides are numbered in sorted order, so sorting the number lists
+    # puts the groups in key order; each pair is a complete rectangle of the
+    # graph by construction, so the groups need no completeness check
+    pairs.sort()
+    return [Biclique(tuple(map(reviewers.__getitem__, rs)),
+                     tuple(map(products.__getitem__, ps)), graph)
+            for rs, ps in pairs]
 
 
 def _looks_collusive(fragment: Biclique, config: DetectionConfig) -> bool:

@@ -4,6 +4,7 @@ per-group indicator reports and the detection configuration."""
 from __future__ import annotations
 
 import json
+import json.scanner
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
@@ -77,15 +78,34 @@ def json_objects(rows: list, kind: str) -> Iterator[dict]:
         yield row
 
 
+# json.loads without its per-call checks: the C scanner, which reads one
+# JSON value starting at an index and returns it with the index after it
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+
+
 def read_json_lines(lines: Iterable[str], kind: str) -> Iterator[dict]:
     """The JSON object on each non-blank line: ValueError "<kind> line N is
-    not a JSON object" (N the line number) for any other JSON value."""
+    not a JSON object" (N the line number) for any other JSON value.
+
+    A line whose value ends exactly at the line's end (or before a final
+    newline) is taken from the scanner; any other line, blank, padded,
+    malformed or followed by more text, goes through ``json.loads``, so it
+    parses or fails exactly as it would there.
+    """
     for n, line in enumerate(lines, 1):
-        if line.strip():
+        try:
+            record, end = _scan(line, 0)
+        except (StopIteration, ValueError):
+            whole = False
+        else:
+            whole = end == len(line) or line[end:] == "\n"
+        if not whole:
+            if not line.strip():
+                continue
             record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError(f"{kind} line {n} is not a JSON object")
-            yield record
+        if not isinstance(record, dict):
+            raise ValueError(f"{kind} line {n} is not a JSON object")
+        yield record
 
 
 @contextmanager
@@ -280,10 +300,13 @@ class RatingGraph:
         header = next(records, None)
         if header is None:
             raise ValueError("empty snapshot: header line missing")
-        epoch = date.fromisoformat(header["epoch"]) if header.get("epoch") else None
+        epoch = header.get("epoch")
+        if epoch is not None and not isinstance(epoch, str):
+            raise ValueError(f"snapshot epoch must be a date string or null, got {epoch!r}")
+        epoch = date.fromisoformat(epoch) if epoch else None
         floors = {k: header[k] for k in PRUNE_FLOORS if k in header}
         with fields_of("snapshot"):
-            max_value = float(header["max_value"])
+            max_value = _as_float("max_value", header["max_value"])
             # the fields go in as read, so RatingEdge rejects a day that is
             # not an integer and a value or spamicity that is not a number
             edges = [RatingEdge(rec["r"], rec["p"], rec["v"], rec["t"], rec["s"])

@@ -395,6 +395,18 @@ def _repeat_a_collusive_group(result: dict) -> dict:
 MALFORMED = {
     "snapshot-header-without-max_value":
         ("graph", 0, lambda h: _without(h, "max_value"), "detect", "'max_value'"),
+    "snapshot-header-max_value-null":
+        ("graph", 0, lambda h: {**h, "max_value": None}, "detect",
+         "max_value must be a number, got None"),
+    "snapshot-header-max_value-a-string":
+        ("graph", 0, lambda h: {**h, "max_value": "5"}, "mine",
+         "max_value must be a number, got '5'"),
+    "snapshot-header-epoch-a-number":
+        ("graph", 0, lambda h: {**h, "epoch": 5}, "detect",
+         "snapshot epoch must be a date string or null, got 5"),
+    "snapshot-header-epoch-a-list":
+        ("graph", 0, lambda h: {**h, "epoch": ["x"]}, "mine",
+         "snapshot epoch must be a date string or null, got ['x']"),
     "snapshot-edge-without-t":
         ("graph", 1, lambda e: _without(e, "t"), "mine", "'t'"),
     "snapshot-edge-t-a-fraction":

@@ -13,7 +13,10 @@ from bcscan.indicators import (GroupTooSmall, build_suspiciousness,
                                group_value_similarity, pairwise_value_similarity,
                                product_time_window)
 from bcscan.model import Biclique, IndicatorReport
-from testutil import cosine, grid_graph, make_graph, random_graph
+from testutil import (cosine, grid_graph, make_graph, random_graph,
+                      reference_group_rating_spamicity,
+                      reference_group_time_similarity,
+                      reference_group_value_similarity)
 
 
 def group(graph, reviewers=None, products=None):
@@ -200,6 +203,51 @@ def test_indicators_stay_in_unit_interval_on_random_groups():
                 assert all(0.0 <= v <= 1.0 for v in vals)
                 checked += 1
                 break
+
+
+def _seeded_group(rng: random.Random, max_tw: int) -> Biclique:
+    """A group of 2-12 reviewers x 1-8 products inside a larger graph.
+
+    Some members copy an earlier member's vector, so identical vectors
+    occur; each product's posting span is drawn from 0, max_tw - 1, max_tw,
+    max_tw + 1 and a wide one, so spans fall at, below and above max_tw.
+    """
+    members = [f"r{i:02d}" for i in range(rng.randint(2, 12))]
+    products = [f"p{j}" for j in range(rng.randint(1, 8))]
+    ratings = [1.0, 2.0, 3.0, 4.0, 5.0, 1.5, 4.25]
+    vectors: list[list[float]] = []
+    for _ in members:
+        if vectors and rng.random() < 0.3:
+            vectors.append(list(rng.choice(vectors)))
+        else:
+            vectors.append([rng.choice(ratings) for _ in products])
+    rows = []
+    for j, p in enumerate(products):
+        span = rng.choice([0, max_tw - 1, max_tw, max_tw + 1, 3 * max_tw])
+        start = rng.randrange(100)
+        times = [start, start + span] + [start + rng.randint(0, span)
+                                         for _ in members[2:]]
+        rng.shuffle(times)
+        for r, vector, t in zip(members, vectors, times):
+            spam = rng.choice([0.0, 0.0, rng.random(), 1.0])
+            rows.append((r, p, vector[j], t, spam))
+    # ratings outside the group, on its products and by its members
+    rows += [("z-outsider", p, 5.0, 0) for p in products]
+    rows += [(r, "z-other", 1.0, 0) for r in members]
+    g = make_graph(rows)
+    return Biclique.from_graph(members, products, g)
+
+
+def test_indicators_equal_the_reference_bit_for_bit():
+    rng = random.Random(113)
+    for trial in range(400):
+        max_tw = rng.choice([1, 2, 7, 30])
+        b = _seeded_group(rng, max_tw)
+        assert group_value_similarity(b) == reference_group_value_similarity(b), trial
+        for tw in (max_tw, max_tw + 1, 30):
+            assert group_time_similarity(b, tw) == \
+                reference_group_time_similarity(b, tw), (trial, tw)
+        assert group_rating_spamicity(b) == reference_group_rating_spamicity(b), trial
 
 
 def test_cumulative_distribution_points():

@@ -11,6 +11,24 @@ from testutil import (grid_graph, make_graph, oracle_maximal_bicliques,
                       reference_enumerate_candidates)
 
 
+# both walk orientations (reviewer sets when min_p > min_r), and counting
+# depths up to three and past it; floors below DetectionConfig's (min_r 1)
+# extend by items one holder holds, not two
+SPARSE_FLOORS = ((2, 3), (2, 2), (3, 3), (2, 4), (1, 1), (1, 3), (2, 1),
+                 (3, 2), (4, 2), (2, 5), (3, 4), (5, 3))
+
+
+def with_block(rng, g, n_r, n_p):
+    """The graph plus a complete n_r x n_p block of ratings on randomly
+    chosen members and products, so that the higher floors find groups."""
+    rows = {(e.reviewer, e.product): (e.value, e.time) for e in g.edges()}
+    block = rng.sample(g.products, n_p)
+    for r in rng.sample(g.reviewers, n_r):
+        for p in block:
+            rows.setdefault((r, p), (5.0, rng.randrange(365)))
+    return make_graph([(r, p, v, t) for (r, p), (v, t) in rows.items()])
+
+
 def keys(candidates):
     return [b.key for b in candidates]
 
@@ -81,26 +99,35 @@ class TestEnumerateCandidates:
         with pytest.raises(BudgetExceeded):
             enumerate_candidates(g, 2, 2, cap=3)
 
+    def check_against_reference(self, g, label):
+        for min_r, min_p in SPARSE_FLOORS:
+            want = keys(reference_enumerate_candidates(g, min_r, min_p))
+            total = len(want)
+            # a cap equal to the total is not exceeded
+            got = keys(enumerate_candidates(g, min_r, min_p, cap=total))
+            assert got == want, f"{label}, floors {min_r}/{min_p}"
+            if total:
+                with pytest.raises(BudgetExceeded) as exc:
+                    enumerate_candidates(g, min_r, min_p, cap=total - 1)
+                assert (exc.value.count, exc.value.cap) == (total, total - 1)
+
     def test_equals_reference_walk_on_sparse_graphs(self):
-        # graphs far beyond the oracle's reach: many reviewers per closure,
-        # sparse product unions and rejected prefixes at every depth
+        # wide graphs far beyond the oracle's reach: many reviewers per
+        # closure, sparse product unions and rejected prefixes at every depth
         rng = random.Random(59)
         for trial in range(6):
             g = random_graph(rng, rng.randint(150, 400), rng.randint(20, 60),
                              rng.uniform(0.03, 0.15))
-            # floors below DetectionConfig's: min_r 1 extends by products
-            # one member rated, not two
-            for min_r, min_p in ((2, 3), (2, 2), (3, 3), (2, 4),
-                                 (1, 1), (1, 3), (2, 1)):
-                want = keys(reference_enumerate_candidates(g, min_r, min_p))
-                total = len(want)
-                # a cap equal to the total is not exceeded
-                got = keys(enumerate_candidates(g, min_r, min_p, cap=total))
-                assert got == want, f"trial {trial}, floors {min_r}/{min_p}"
-                if total:
-                    with pytest.raises(BudgetExceeded) as exc:
-                        enumerate_candidates(g, min_r, min_p, cap=total - 1)
-                    assert (exc.value.count, exc.value.cap) == (total, total - 1)
+            self.check_against_reference(with_block(rng, g, 6, 5), f"trial {trial}")
+
+    def test_equals_reference_walk_on_tall_graphs(self):
+        # many products per reviewer: long closed product sets, and reviewer
+        # sets the walk over reviewers extends deep
+        rng = random.Random(61)
+        for trial in range(3):
+            g = random_graph(rng, rng.randint(20, 35), rng.randint(120, 200),
+                             rng.uniform(0.08, 0.15))
+            self.check_against_reference(with_block(rng, g, 6, 5), f"trial {trial}")
 
 
 class TestFindSubBicliques:

@@ -1,15 +1,18 @@
 """Core type behaviour: edges, graph, biclique completeness, snapshots."""
 
+import json
 import random
 import re
 from datetime import date, timedelta
 
 import pytest
 
+import bcscan.model
+from bcscan.cli import _read_jsonl
 from bcscan.model import (BadWeights, Biclique, DetectionConfig, DuplicateEdge,
                           IndicatorReport, MissingEdge, RatingEdge, RatingGraph,
-                          validate_weights)
-from testutil import make_graph, reference_snapshot
+                          read_json_lines, validate_weights)
+from testutil import make_graph, reference_read_json_lines, reference_snapshot
 
 
 def test_edge_validation():
@@ -190,6 +193,66 @@ def test_snapshot_preserves_scale_and_epoch():
     assert header == ('{"max_value":10.0,"prune_reviewer_min":3,'
                       '"prune_product_min":2,"epoch":null}')
     assert RatingGraph.loads(recorded.snapshot()).settings == {"max_value": 10.0, **floors}
+
+
+# edits of one snapshot edge line, each giving the lines that replace it
+LINE_EDITS = {
+    "canonical": lambda line: [line],
+    "trailing-newline": lambda line: [line + "\n"],
+    "leading-spaces": lambda line: ["  " + line],
+    "trailing-spaces": lambda line: [line + "  "],
+    "trailing-spaces-and-newline": lambda line: [line + " \n"],
+    "byte-order-mark": lambda line: ["\ufeff" + line],
+    "text-after-the-object": lambda line: [line + "x"],
+    "empty-object-then-text": lambda line: ["{}x"],
+    "two-objects": lambda line: ["{} {}"],
+    "two-edges": lambda line: [line + " " + line],
+    "form-feed-after-the-object": lambda line: [line + "\x0c"],
+    "object-over-two-lines": lambda line: [line[:12], line[12:]],
+    "a-list": lambda line: ["[1, 2]"],
+    "a-string": lambda line: ['"x"'],
+    "truncated": lambda line: [line[:-1]],
+    "whitespace-only-lines": lambda line: [line, "", "   ", "\t", "\n", " \n"],
+}
+
+
+def _outcome(call):
+    """What a call gives: its value, or the type and text of its ValueError."""
+    try:
+        return "value", call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", list(LINE_EDITS))
+def test_snapshot_lines_parse_as_json_loads_parses_them(case, monkeypatch):
+    g = make_graph([("u1", "p1", 5, 0, 0.25), ("u2", "p1", 4.5, 3),
+                    ("u2", "p2", 1, 7)], epoch=date(2004, 1, 1))
+    header, first, *rest = g.snapshot().splitlines()
+    lines = [header, *LINE_EDITS[case](first), *rest]
+    # the reader on lines as a file gives them: newline kept where there is one
+    assert _outcome(lambda: list(read_json_lines(lines, "snapshot"))) == \
+        _outcome(lambda: list(reference_read_json_lines(lines, "snapshot")))
+    # the whole loader on the text
+    text = "\n".join(line.rstrip("\n") for line in lines) + "\n"
+    got = _outcome(lambda: RatingGraph.loads(text).snapshot())
+    monkeypatch.setattr(bcscan.model, "read_json_lines", reference_read_json_lines)
+    assert got == _outcome(lambda: RatingGraph.loads(text).snapshot())
+
+
+def test_candidate_jsonl_reads_as_json_loads_reads_it(tmp_path):
+    path = tmp_path / "candidates.jsonl"
+    rows = [{"products": ["p1", "p2"], "reviewers": ["u1", "u2"]},
+            {"products": ["p3"], "reviewers": ["u\u2028", "v"]}]
+    body = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in rows)
+    for text in (body, body + "\n  \n", " " + body, body.replace("\n", "\r\n"),
+                 body + "{}x\n", body + "[]\n", body[:-2]):
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fp:
+            want = _outcome(lambda: list(reference_read_json_lines(fp, "candidate file")))
+        assert _outcome(lambda: _read_jsonl(str(path), "candidate file")) == want
+    path.write_text(body, encoding="utf-8")
+    assert _read_jsonl(str(path), "candidate file") == rows
 
 
 def test_weights_validation():

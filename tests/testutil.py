@@ -18,7 +18,15 @@ is the generator form of the DOC sum it used. ``reference_prune`` is the
 earlier fixed-point prune, which rebuilt per-reviewer product sets on every
 pass, and ``reference_snapshot`` the earlier snapshot writer, one
 ``json.dumps`` per edge; they are differential references for ``prune``
-and ``RatingGraph.snapshot``.
+and ``RatingGraph.snapshot``. ``reference_read_json_lines`` is the earlier
+line reader, one ``json.loads`` per non-blank line, kept as a differential
+reference for the scanner-based ``read_json_lines``. The earlier group
+indicators, which read each member's vector and each product's times
+through the group's checked accessors and took the best window over the
+products, are kept as ``reference_group_value_similarity``,
+``reference_group_time_similarity`` and ``reference_group_rating_spamicity``
+(with their ``reference_cosine`` and ``reference_product_time_window``
+helpers), differential references for the row-reading indicators.
 """
 
 from __future__ import annotations
@@ -31,9 +39,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from datetime import date
 from math import fsum, sqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from bcscan.detector import DetectionResult
+from bcscan.indicators import GroupTooSmall
 from bcscan.ingest import RawRating
 from bcscan.mining import BudgetExceeded
 from bcscan.model import (DEFAULT_MAX_VALUE, Biclique, DetectionConfig, RatingEdge,
@@ -356,3 +365,63 @@ def reference_evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfi
     kept.sort(key=lambda item: item[0].key)
     groups = tuple((group, replace(rep, doc=doc)) for group, rep, doc in kept)
     return QueryResult("bicliques", groups=groups, warnings=tuple(warnings))
+
+
+def reference_read_json_lines(lines: Iterable[str], kind: str) -> Iterator[dict]:
+    """The JSON object on each non-blank line: ValueError "<kind> line N is
+    not a JSON object" (N the line number) for any other JSON value."""
+    for n, line in enumerate(lines, 1):
+        if line.strip():
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"{kind} line {n} is not a JSON object")
+            yield record
+
+
+def reference_cosine(a: Sequence[float], b: Sequence[float]) -> float:
+    if tuple(a) == tuple(b):
+        # sqrt rounding would otherwise report identical vectors as < 1
+        return 1.0
+    num = fsum(x * y for x, y in zip(a, b))
+    den = sqrt(fsum(x * x for x in a)) * sqrt(fsum(y * y for y in b))
+    # ratings are >= 1, so den > 0; clamp rounding spill above 1
+    return min(1.0, num / den)
+
+
+def reference_group_value_similarity(group: Biclique) -> float:
+    """GVS: the worst (minimum) pairwise value similarity inside the group.
+
+    One disagreeing member drags the whole group down, which is the point:
+    colluders vote alike.
+    """
+    members = group.reviewers
+    if len(members) < 2:
+        raise GroupTooSmall("group value similarity needs >= 2 reviewers")
+    vectors = [group.values_of(r) for r in members]
+    return min(reference_cosine(vectors[i], vectors[j])
+               for i in range(len(members) - 1)
+               for j in range(i + 1, len(members)))
+
+
+def reference_product_time_window(group: Biclique, product: str, max_tw: int) -> float:
+    """Tightness of the group's posting window on one product.
+
+    0 once the span exceeds ``max_tw`` days, otherwise 1 - span / max_tw.
+    """
+    times = [e.time for e in group.edges_on(product)]
+    span = max(times) - min(times)
+    if span > max_tw:
+        return 0.0
+    return 1.0 - span / max_tw
+
+
+def reference_group_time_similarity(group: Biclique, max_tw: int) -> float:
+    """GTS: the tightest posting window over the group's products."""
+    return max(reference_product_time_window(group, p, max_tw) for p in group.products)
+
+
+def reference_group_rating_spamicity(group: Biclique) -> float:
+    """GRS: value-weighted average spamicity of the group's edges."""
+    edges = group.edges
+    total = fsum(e.value for e in edges)
+    return fsum(e.value * e.spamicity for e in edges) / total
