@@ -22,58 +22,57 @@ class GroupTooSmall(BcscanError):
     """Pairwise similarity needs at least two reviewers."""
 
 
-def _cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    if tuple(a) == tuple(b):
+def _norm(vector: Sequence[float]) -> float:
+    return sqrt(fsum(map(mul, vector, vector)))
+
+
+def _cosine(a: Sequence[float], b: Sequence[float],
+            norm_a: float, norm_b: float) -> float:
+    """Cosine of two rating vectors of one sequence type, given their norms."""
+    if a == b:
         # sqrt rounding would otherwise report identical vectors as < 1
         return 1.0
-    num = fsum(x * y for x, y in zip(a, b))
-    den = sqrt(fsum(x * x for x in a)) * sqrt(fsum(y * y for y in b))
-    # ratings are >= 1, so den > 0; clamp rounding spill above 1
-    return min(1.0, num / den)
+    # ratings are >= 1, so the norms are > 0; clamp rounding spill above 1
+    return min(1.0, fsum(map(mul, a, b)) / (norm_a * norm_b))
 
 
 def pairwise_value_similarity(a: str, b: str, group: Biclique) -> float:
     """Cosine similarity of two members' rating vectors over the group's
     products. Ratings are positive, so the result lies in (0, 1]."""
-    return _cosine(group.values_of(a), group.values_of(b))
+    va, vb = group.values_of(a), group.values_of(b)
+    return _cosine(va, vb, _norm(va), _norm(vb))
 
 
 def group_value_similarity(group: Biclique) -> float:
     """GVS: the worst (minimum) pairwise value similarity inside the group.
 
     One disagreeing member drags the whole group down, which is the point:
-    colluders vote alike. Each pair's cosine is computed as in ``_cosine``,
-    bit for bit, with each member's vector read from its graph row and its
-    norm taken once.
+    colluders vote alike. Each member's norm is taken once.
     """
-    members = group.reviewers
-    if len(members) < 2:
+    if len(group.reviewers) < 2:
         raise GroupTooSmall("group value similarity needs >= 2 reviewers")
-    rows = group.graph._by_reviewer
-    products = group.products
     worst = 1.0
     earlier: list[tuple[list[float], float]] = []
-    for row in map(rows.__getitem__, members):
-        b = [row[p].value for p in products]
-        norm = sqrt(fsum(map(mul, b, b)))
-        for a, other in earlier:
-            # identical vectors are similarity 1, which never lowers the minimum
-            if a != b:
-                worst = min(worst, fsum(map(mul, a, b)) / (other * norm))
-        earlier.append((b, norm))
+    for b in group.value_rows():
+        norm_b = _norm(b)
+        for a, norm_a in earlier:
+            worst = min(worst, _cosine(a, b, norm_a, norm_b))
+        earlier.append((b, norm_b))
     return worst
 
 
-def product_time_window(group: Biclique, product: str, max_tw: int) -> float:
-    """Tightness of the group's posting window on one product.
-
-    0 once the span exceeds ``max_tw`` days, otherwise 1 - span / max_tw.
-    """
-    times = [e.time for e in group.edges_on(product)]
-    span = max(times) - min(times)
+def _window(span: int, max_tw: int) -> float:
+    """Tightness of a posting window spanning ``span`` days: 0 once the
+    span exceeds ``max_tw``, otherwise 1 - span / max_tw."""
     if span > max_tw:
         return 0.0
     return 1.0 - span / max_tw
+
+
+def product_time_window(group: Biclique, product: str, max_tw: int) -> float:
+    """Tightness of the group's posting window on one product."""
+    times = [e.time for e in group.edges_on(product)]
+    return _window(max(times) - min(times), max_tw)
 
 
 def group_time_similarity(group: Biclique, max_tw: int) -> float:
@@ -82,14 +81,8 @@ def group_time_similarity(group: Biclique, max_tw: int) -> float:
     A window's tightness falls as its span grows, so this is the window of
     the narrowest span, equal bit for bit to the best ``product_time_window``.
     """
-    columns = group.graph._by_product
-    reviewers = group.reviewers
-    span = min([max(times) - min(times) for times in
-                ([col[r].time for r in reviewers]
-                 for col in map(columns.__getitem__, group.products))])
-    if span > max_tw:
-        return 0.0
-    return 1.0 - span / max_tw
+    return _window(min([max(times) - min(times)
+                        for times in group.posting_times()]), max_tw)
 
 
 def group_rating_spamicity(group: Biclique) -> float:

@@ -50,8 +50,8 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _held_at_least(k: int, masks: Iterator[int]) -> int:
-    """The bits set in at least ``k`` of ``masks``, for ``k`` up to 3 (in
-    at least one when ``k`` is below 1): one running OR per count."""
+    """The bits set in at least ``k`` of ``masks``, for ``k`` from 1 to 3:
+    one running OR per count."""
     if k <= 1:
         return reduce(or_, masks, 0)
     once = twice = 0
@@ -141,12 +141,16 @@ def enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: int = 3,
     the default floors, reviewers who rated three of the node's products.
     Both walks visit each qualifying group once, so the groups and the
     ``BudgetExceeded`` count are the same whichever side is walked.
-    Raises BudgetExceeded once more than ``cap`` candidates qualify.
+    Both floors must be at least 1 (``DetectionConfig`` requires 2): the
+    root's closure is the AND over every holder, so each side needs one.
+    Raises ValueError for a floor below 1, and BudgetExceeded once more than
+    ``cap`` candidates qualify.
     """
+    if min_r < 1 or min_p < 1:
+        raise ValueError(f"mining floors must be at least 1, got {min_r}/{min_p}")
     reviewers = graph.reviewers
     products = graph.products
-    # the root's closure is the AND over every holder, so each side needs one
-    if len(reviewers) < max(min_r, 1) or len(products) < max(min_p, 1):
+    if len(reviewers) < min_r or len(products) < min_p:
         return []
     if min_p > min_r:
         pairs = [(list(_bits(closed)), sorted(members)) for members, closed in

@@ -88,9 +88,10 @@ def read_json_lines(lines: Iterable[str], kind: str) -> Iterator[dict]:
     not a JSON object" (N the line number) for any other JSON value.
 
     A line whose value ends exactly at the line's end (or before a final
-    newline) is taken from the scanner; any other line, blank, padded,
-    malformed or followed by more text, goes through ``json.loads``, so it
-    parses or fails exactly as it would there.
+    newline) is taken from the scanner. Any line the scanner cannot take
+    whole, blank, padded, malformed or followed by more text, falls back to
+    ``json.loads``, which skips it if blank and otherwise parses it or
+    raises its own error for it, exactly as before the scanner was used.
     """
     for n, line in enumerate(lines, 1):
         try:
@@ -375,6 +376,22 @@ class Biclique:
             raise ValueError(f"product {product!r} is outside this group")
         col = self.graph._by_product[product]
         return tuple(col[r] for r in self.reviewers)
+
+    def value_rows(self) -> list[list[float]]:
+        """Every member's rating vector over the group's products, in
+        reviewer order; the whole-group form of ``values_of``."""
+        products = self.products
+        rows = self.graph._by_reviewer
+        return [[row[p].value for p in products]
+                for row in map(rows.__getitem__, self.reviewers)]
+
+    def posting_times(self) -> list[list[int]]:
+        """The members' posting days on each of the group's products, in
+        product order; the whole-group form of ``edges_on``."""
+        reviewers = self.reviewers
+        columns = self.graph._by_product
+        return [[col[r].time for r in reviewers]
+                for col in map(columns.__getitem__, self.products)]
 
     def to_dict(self) -> dict:
         return {"reviewers": list(self.reviewers), "products": list(self.products)}

@@ -49,6 +49,12 @@ class TestEnumerateCandidates:
     def test_empty_graph(self):
         assert len(enumerate_candidates(make_graph([]), 2, 3)) == 0
 
+    def test_floor_below_one_is_rejected(self):
+        g = grid_graph(["r1", "r2"], ["p1", "p2"])
+        for floors in ((0, 2), (2, 0), (-1, 3)):
+            with pytest.raises(ValueError, match="at least 1"):
+                enumerate_candidates(g, *floors)
+
     def test_no_qualifying_groups(self):
         g = make_graph([("r1", "p1", 5, 0), ("r2", "p2", 5, 0)])
         assert len(enumerate_candidates(g, 2, 3)) == 0

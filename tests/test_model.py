@@ -99,8 +99,8 @@ def test_biclique_unknown_id_is_missing_edge():
 
 
 def test_biclique_canonical_identity():
-    g = make_graph([("u1", "p1", 5, 0), ("u1", "p2", 4, 0),
-                    ("u2", "p1", 3, 0), ("u2", "p2", 2, 0)])
+    g = make_graph([("u1", "p1", 5, 0), ("u1", "p2", 4, 9),
+                    ("u2", "p1", 3, 4), ("u2", "p2", 2, 1)])
     a = Biclique.from_graph(["u2", "u1"], ["p2", "p1"], g)
     b = Biclique.from_graph(["u1", "u2"], ["p1", "p2"], g)
     assert a == b
@@ -108,6 +108,8 @@ def test_biclique_canonical_identity():
     assert a.values_of("u2") == (3.0, 2.0)
     assert a.edge("u1", "p2").value == 4.0
     assert [e.reviewer for e in a.edges_on("p1")] == ["u1", "u2"]
+    assert a.value_rows() == [[5.0, 4.0], [3.0, 2.0]]
+    assert a.posting_times() == [[0, 4], [9, 1]]
     assert a.edges == (g.edge("u1", "p1"), g.edge("u1", "p2"),
                        g.edge("u2", "p1"), g.edge("u2", "p2"))
 
