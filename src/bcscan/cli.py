@@ -42,7 +42,8 @@ from .model import (BcscanError, Biclique, DetectionConfig,
 from . import ingest as ingest_mod
 from .indicators import cumulative_distribution
 from .mining import enumerate_candidates
-from .detector import DetectionResult, detect, route, score_cohort
+from .detector import (DetectionResult, check_derived, detect, route,
+                       score_cohort)
 from .query import QuerySyntaxError, evaluate, parse
 from .synth import (AttackScript, LabeledDataset, TruthGroup, generate,
                     threshold_sweep)
@@ -457,18 +458,33 @@ def _run_repl(answer):
 def stats(scored_path, out, **overrides):
     """Cumulative distribution of every indicator over scored groups.
 
-    Rows are labelled collusive or other by each row's stored doc against
-    --delta: scored JSONL records no weights, so doc is not recomputed.
+    Each row's gs, gps and di must be what its group sizes derive to,
+    relative to the file's largest group, as the indicators step scores
+    them. Rows are labelled collusive or other by each row's stored doc
+    against --delta: scored JSONL records no weights, so doc is neither
+    checked nor recomputed.
     """
     delta = _build_config(None, **overrides).delta
     with fields_of("scored file"):
-        reports = [IndicatorReport.from_dict(row)
-                   for row in _read_jsonl(scored_path, "scored file")]
+        rows = _read_jsonl(scored_path, "scored file")
+        reports = [IndicatorReport.from_dict(row) for row in rows]
+        check_derived("scored file row",
+                      [_id_count(row, "reviewers") for row in rows],
+                      [_id_count(row, "products") for row in rows], reports)
     labels = ["collusive" if route(rep, delta) == "collusive" else "other"
               for rep in reports]
     _echo_out(_csv(["indicator", "label", "value", "cumulative"],
                    ([p.indicator, p.label, repr(p.value), repr(p.cumulative)]
                     for p in cumulative_distribution(reports, labels))), out)
+
+
+def _id_count(row: dict, side: str) -> int:
+    """How many distinct ids a scored row lists on one side of its group."""
+    ids = row[side]
+    if not isinstance(ids, list) or not ids or not all(isinstance(i, str) for i in ids):
+        raise ValueError(f"scored file {side} must be a non-empty list of ids, "
+                         f"got {ids!r}")
+    return len(set(ids))
 
 
 @cli.group()

@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import fsum
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .model import (Biclique, DetectionConfig, IndicatorReport, RatingGraph,
@@ -100,8 +100,12 @@ class DetectionResult:
     @cached_property
     def _columns(self) -> tuple[tuple[float, ...], ...]:
         """The scored groups' gvs, gts, grs and gms, one tuple each, in
-        scored order; () when nothing was scored."""
-        return tuple(zip(*[(r.gvs, r.gts, r.grs, r.gms) for _, r in self.scored]))
+        scored order. Each column is read from the reports directly: a
+        tuple per group would be thousands of collector-tracked objects made
+        while a result loads, which checks its DOC column."""
+        reports = [rep for _, rep in self.scored]
+        return tuple(tuple(map(attrgetter(name), reports))
+                     for name in IndicatorReport._fields[:4])
 
     @property
     def examined_count(self) -> int:
@@ -110,8 +114,9 @@ class DetectionResult:
     def docs(self, weights: Iterable[float]) -> tuple[float, ...]:
         """The DOC of every scored group under ``weights``, in scored order.
 
-        Each value is re-aggregated from the group's indicator quadruple,
-        never read from its stored ``doc``, and equals
+        Each value is re-aggregated from the group's indicator quadruple
+        (a loaded result's stored ``doc`` is checked on load to equal it
+        under the result's weights), and equals
         ``_weighted_doc(rep.quadruple(), weights)`` bit for bit. A new weight
         vector costs one pass over the four indicator columns, clamped to
         [0, 1] only when a value falls outside. BadWeights if the weights
@@ -144,7 +149,10 @@ class DetectionResult:
     @classmethod
     def from_dict(cls, data: Mapping, graph: RatingGraph) -> "DetectionResult":
         """Load a result; ValueError if it or one of its rows is not a JSON
-        object with every field, or if its collusive list is not derived."""
+        object with every field, if a row's ``gs``, ``gps``, ``di`` or
+        ``doc`` is not what its group and indicators derive to under the
+        result's config (see ``check_derived``), or if its collusive list is
+        not derived."""
         if not isinstance(data, Mapping):
             raise ValueError("a result must be a JSON object")
         with fields_of("result"):
@@ -153,6 +161,11 @@ class DetectionResult:
                            for row in json_objects(data["scored"], "result scored row"))
             result = cls(scored, int(data["expanded_count"]),
                          DetectionConfig.from_dict(data["config"]))
+            check_derived("result scored row",
+                          [len(b.reviewers) for b, _ in scored],
+                          [len(b.products) for b, _ in scored],
+                          [rep for _, rep in scored],
+                          result.docs(result.config.weights))
             listed = [(tuple(sorted(set(row["reviewers"]))),
                        tuple(sorted(set(row["products"]))))
                       for row in json_objects(data["collusive"], "result collusive row")]
@@ -160,6 +173,34 @@ class DetectionResult:
             raise ValueError("the result's collusive list does not match its "
                              "scored groups above delta")
         return result
+
+
+def check_derived(kind: str, reviewer_counts: Sequence[int],
+                  product_counts: Sequence[int], reports: Sequence[IndicatorReport],
+                  docs: Sequence[float] | None = None) -> None:
+    """Check the fields of stored reports that derive from others, as
+    ``score_cohort`` and ``detect`` compute them: ``gs`` is the group's
+    reviewer count over the largest among the rows, ``gps`` likewise for
+    products, ``di`` is ``damaging_impact(gps, gs)`` and, when ``docs`` is
+    given, ``doc`` is its value for the row. ValueError "<kind> N: stored
+    <field> X is not the Y it derives to" for the first row N (from 1) of
+    the first field that differs."""
+    if not reports:
+        return
+    max_r = max(reviewer_counts)
+    max_p = max(product_counts)
+    gs = tuple(n / max_r for n in reviewer_counts)
+    gps = tuple(n / max_p for n in product_counts)
+    derived = {"gs": gs, "gps": gps, "di": tuple(map(damaging_impact, gps, gs))}
+    if docs is not None:
+        derived["doc"] = tuple(docs)
+    for name, column in derived.items():
+        stored = tuple(map(attrgetter(name), reports))
+        if stored != column:
+            n, value, want = next((n, a, b) for n, (a, b) in
+                                  enumerate(zip(stored, column), 1) if a != b)
+            raise ValueError(f"{kind} {n}: stored {name} {value!r} "
+                             f"is not the {want!r} it derives to")
 
 
 def _score(groups: Iterable[Biclique], table: SuspiciousnessTable,

@@ -176,8 +176,7 @@ def cumulative_distribution(reports: Sequence[IndicatorReport],
     if len(labels) != len(reports):
         raise ValueError("labels must align with reports")
     points: list[CumulativePoint] = []
-    names = ("gvs", "gts", "grs", "gms", "gs", "gps", "doc", "di")
-    for name in names:
+    for name in IndicatorReport._fields:
         for label in sorted(set(labels)):
             series = sorted(getattr(rep, name)
                             for rep, lab in zip(reports, labels) if lab == label)

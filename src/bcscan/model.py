@@ -1,5 +1,10 @@
 """Core domain types: rating edges, the bipartite rating graph, bicliques,
-per-group indicator reports and the detection configuration."""
+per-group indicator reports and the detection configuration.
+
+Values are checked where they enter from outside the program and trusted
+inside it: an edge and a config check themselves when built, a snapshot's
+header as it loads, and a report only in ``IndicatorReport.from_dict``.
+"""
 
 from __future__ import annotations
 
@@ -306,6 +311,7 @@ class RatingGraph:
             raise ValueError(f"snapshot epoch must be a date string or null, got {epoch!r}")
         epoch = date.fromisoformat(epoch) if epoch else None
         floors = {k: header[k] for k in PRUNE_FLOORS if k in header}
+        DetectionConfig(**floors)   # checks the floors as detect's config does
         with fields_of("snapshot"):
             max_value = _as_float("max_value", header["max_value"])
             # the fields go in as read, so RatingEdge rejects a day that is
@@ -397,10 +403,14 @@ class Biclique:
         return {"reviewers": list(self.reviewers), "products": list(self.products)}
 
 
-@dataclass(frozen=True)
-class IndicatorReport:
-    """The six group indicators plus their two aggregates, all numbers (an
-    int or a float, not a bool) in [0, 1]."""
+class IndicatorReport(NamedTuple):
+    """The six group indicators plus their two aggregates, each a number in
+    [0, 1].
+
+    A report is a named tuple, like RatingEdge, but built unchecked: the
+    program computes its fields in range, so only ``from_dict``, the way in
+    from a file, checks them.
+    """
 
     gvs: float   # group value similarity: min pairwise rating-vector cosine
     gts: float   # group time similarity: tightest per-product posting window
@@ -411,26 +421,24 @@ class IndicatorReport:
     doc: float   # degree of collusiveness: weighted sum of the first four
     di: float    # damaging impact: mean of gps and gs
 
-    def __post_init__(self):
-        for name in ("gvs", "gts", "grs", "gms", "gs", "gps", "doc", "di"):
-            v = getattr(self, name)
+    def quadruple(self) -> tuple[float, float, float, float]:
+        return self[:4]
+
+    def to_dict(self) -> dict:
+        return self._asdict()
+
+    @classmethod
+    def from_dict(cls, row: Mapping) -> "IndicatorReport":
+        """A report from a record's eight fields, each checked to be a
+        number (an int or a float, not a bool) in [0, 1]; ValueError
+        otherwise, and KeyError for a missing field."""
+        values = [row[name] for name in cls._fields]
+        for name, v in zip(cls._fields, values):
             if v.__class__ is not float and not _is_number(v):
                 raise ValueError(f"{name} must be a number, got {v!r}")
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v!r} outside [0, 1]")
-
-    def quadruple(self) -> tuple[float, float, float, float]:
-        return (self.gvs, self.gts, self.grs, self.gms)
-
-    def to_dict(self) -> dict:
-        return {"gvs": self.gvs, "gts": self.gts, "grs": self.grs,
-                "gms": self.gms, "gs": self.gs, "gps": self.gps,
-                "doc": self.doc, "di": self.di}
-
-    @classmethod
-    def from_dict(cls, row: Mapping) -> "IndicatorReport":
-        return cls(row["gvs"], row["gts"], row["grs"], row["gms"],
-                   row["gs"], row["gps"], row["doc"], row["di"])
+        return cls._make(values)
 
 
 def scored_row(group: Biclique, rep: IndicatorReport) -> dict:

@@ -257,7 +257,8 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
     queries under the same weights. The effective DOC floor is the query's
     threshold, or delta when the query names none; matches must exceed it
     strictly. A kept group whose re-aggregated DOC equals the cached one, as
-    it does under the weights ``detect`` scored the cache with, is returned
+    it does under the weights ``detect`` scored the cache with (a loaded
+    cache's stored DOC is checked on load to be that value), is returned
     as the cached ``(group, report)`` pair itself; only a group whose DOC
     changes gets a new pair and report. An unknown filter id raises
     UnknownId under ``strict``, and otherwise only adds a warning to the
@@ -293,13 +294,6 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
         ids = sorted(set(chain.from_iterable(group.reviewers for (group, _), _ in kept)))
         return QueryResult("reviewers", ids=tuple(ids), warnings=tuple(warnings))
     # only the bicliques projection shows reports, re-weighted to the query
-    groups = tuple(pair if doc == pair[1].doc else _reweighted(pair, doc)
+    groups = tuple(pair if doc == pair[1].doc else (pair[0], pair[1]._replace(doc=doc))
                    for pair, doc in kept)
     return QueryResult("bicliques", groups=groups, warnings=tuple(warnings))
-
-
-def _reweighted(pair: tuple[Biclique, IndicatorReport], doc: float,
-                ) -> tuple[Biclique, IndicatorReport]:
-    """A cached pair whose report carries ``doc`` in place of its own."""
-    group, rep = pair
-    return group, IndicatorReport(*rep.quadruple(), rep.gs, rep.gps, doc, rep.di)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import random
 
 import pytest
@@ -389,6 +390,21 @@ def _repeat_a_collusive_group(result: dict) -> dict:
             "collusive": [row] + result["collusive"]}
 
 
+def _one_ulp_off(value: float) -> float:
+    """The float next to ``value`` on the side that stays inside [0, 1]."""
+    return math.nextafter(value, 0.0 if value > 0.0 else 1.0)
+
+
+def _first_scored_row_off(field: str):
+    """An edit of a result that moves its first scored row's ``field`` by
+    one ulp."""
+    def edit(result: dict) -> dict:
+        first, *rest = result["scored"]
+        return {**result, "scored": [{**first, field: _one_ulp_off(first[field])},
+                                     *rest]}
+    return edit
+
+
 # Each malformed input: the file, the JSONL line edited (a slice: the list of
 # those lines; None: the whole JSON document), the edit, the command that
 # reads the file, and the error text.
@@ -499,6 +515,23 @@ MALFORMED = {
     "candidate-ids-not-in-graph":
         ("cands", 0, lambda row: {**row, "reviewers": ["ghost1", "ghost2"]},
          "indicators", "no rating by 'ghost1'"),
+    "snapshot-header-floor-a-string":
+        ("graph", 0, lambda h: {**h, "prune_reviewer_min": "x"}, "mine",
+         "prune_reviewer_min must be an integer, got 'x'"),
+    "snapshot-header-floor-negative":
+        ("graph", 0, lambda h: {**h, "prune_product_min": -1}, "mine",
+         "prune thresholds must be non-negative"),
+    **{f"result-scored-row-{field}-one-ulp-off":
+       ("result", None, _first_scored_row_off(field), "query",
+        f"result scored row 1: stored {field} ")
+       for field in ("gs", "gps", "di", "doc")},
+    **{f"scored-row-{field}-one-ulp-off":
+       ("scored", 0, lambda row, field=field: {**row, field: _one_ulp_off(row[field])},
+        "stats", f"scored file row 1: stored {field} ")
+       for field in ("gs", "gps", "di")},
+    "scored-row-reviewers-not-a-list":
+        ("scored", 0, lambda row: {**row, "reviewers": "r1"}, "stats",
+         "scored file reviewers must be a non-empty list of ids, got 'r1'"),
     "snapshot-second-edge-repeats-the-first":
         ("graph", slice(1, 2), lambda edges: edges * 2, "detect", "duplicate edge for"),
 }
@@ -552,18 +585,20 @@ class TestRepl:
         assert res.exit_code == 0
         assert "syntax error" in res.output  # the bad statement is not fatal
 
-    def test_answers_follow_the_recomputed_doc_not_the_stored_one(self, runner, tmp_path):
+    def test_a_hand_edited_stored_doc_exits_3(self, runner, tmp_path):
         _, _, graph = seed_pipeline(runner, tmp_path)
         result = tmp_path / "result.json"
         assert run(runner, "detect", "--graph", str(graph),
                    "--out", str(result)).exit_code == 0
         # hand-edit the stored doc of the highest- and lowest-scoring groups
-        # to the opposite extremes, keeping the collusive list derived
+        # to the opposite extremes, keeping the collusive list derived from
+        # the edited values
         data = json.loads(result.read_text())
         weights, delta = data["config"]["weights"], data["config"]["delta"]
         rows = data["scored"]
         docs = [_weighted_doc((r["gvs"], r["gts"], r["grs"], r["gms"]), weights)
                 for r in rows]
+        assert docs == [r["doc"] for r in rows]
         high = max(range(len(rows)), key=docs.__getitem__)
         low = min(range(len(rows)), key=docs.__getitem__)
         assert docs[low] < docs[high]
@@ -571,20 +606,14 @@ class TestRepl:
         data["collusive"] = sorted((r for r in rows if r["doc"] > delta),
                                    key=lambda r: (-r["doc"], r["reviewers"], r["products"]))
         result.write_text(json.dumps(data))
-        floor = round((docs[low] + docs[high]) / 2, 3)
-        assert docs[low] <= floor < docs[high]
-        text = f"getbicliques() filter{{ DOC > {floor}; }};"
-        # the -e query runs on a cold memo, the two REPL repeats on a warm one
+        n = min(high, low)
         res = run(runner, "query", "--graph", str(graph), "--result", str(result),
-                  "-e", text, "--repl", input=f"{text}\n{text}\nexit;\n")
-        assert res.exit_code == 0, res.output
-        kept = [(row, doc) for row, doc in zip(rows, docs) if doc > floor]
-        assert rows[high] in (row for row, _ in kept)
-        assert rows[low] not in (row for row, _ in kept)
-        expected = "".join(f"{n:>4}  doc={doc:.4f}  di={row['di']:.4f}  "
-                           f"{','.join(row['reviewers'])} -> {','.join(row['products'])}\n"
-                           for n, (row, doc) in enumerate(kept, 1))
-        assert res.stdout == expected * 3
+                  "-e", "getbicliques();", "--repl", input="getbicliques();\nexit;\n")
+        assert res.exit_code == 3, res.output
+        assert res.stdout == ""
+        assert res.stderr == (f"error: result scored row {n + 1}: stored doc "
+                              f"{rows[n]['doc']!r} is not the {docs[n]!r} it "
+                              "derives to\n")
 
     def test_piped_session_prints_what_e_prints(self, runner, tmp_path):
         _, _, graph = seed_pipeline(runner, tmp_path)

@@ -1,6 +1,8 @@
 """Detection loop behaviour: aggregation, routing, expansion, reporting."""
 
+import math
 import random
+import re
 
 import pytest
 
@@ -194,6 +196,21 @@ class TestDetect:
         with pytest.raises(ValueError, match=f"gvs must be a number, got {value!r}"):
             DetectionResult.from_dict({**data, "scored": [{**first, "gvs": value}, *rest]},
                                       g)
+
+    @pytest.mark.parametrize("field", ["gs", "gps", "di", "doc"])
+    def test_from_dict_rejects_a_derived_field_one_ulp_off(self, field):
+        g = planted_trio()
+        data = detect(g, DetectionConfig()).to_dict()
+        # the second row is the six-member crowd, after the trio it holds
+        row = data["scored"][1]
+        assert len(row["reviewers"]) == 6 and row["gs"] == 1.0
+        stored = row[field]
+        moved = math.nextafter(stored, 0.0 if stored > 0.0 else 1.0)
+        edited = {**data, "scored": [data["scored"][0], {**row, field: moved}]}
+        with pytest.raises(ValueError, match=re.escape(
+                f"result scored row 2: stored {field} {moved!r} "
+                f"is not the {stored!r} it derives to")):
+            DetectionResult.from_dict(edited, g)
 
     def test_from_dict_rejects_a_collusive_list_that_disagrees_with_scored(self):
         g = planted_trio()

@@ -197,6 +197,17 @@ def test_snapshot_preserves_scale_and_epoch():
     assert RatingGraph.loads(recorded.snapshot()).settings == {"max_value": 10.0, **floors}
 
 
+@pytest.mark.parametrize("value", ["x", True, 2.5, None, -1])
+def test_snapshot_floors_are_checked_as_a_config_checks_them(value):
+    g = make_graph([("u1", "p1", 4, 2)])
+    for name in ("prune_reviewer_min", "prune_product_min"):
+        text = RatingGraph(g.edges(), floors={name: value}).snapshot()
+        with pytest.raises(ValueError) as expected:
+            DetectionConfig(**{name: value})
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            RatingGraph.loads(text)
+
+
 # edits of one snapshot edge line, each giving the lines that replace it
 LINE_EDITS = {
     "canonical": lambda line: [line],
@@ -271,10 +282,21 @@ def test_weights_validation():
         validate_weights("0.4,x,0.2,0.1".split(","))
 
 
+def _report_row(*values) -> dict:
+    return dict(zip(IndicatorReport._fields, values))
+
+
 def test_indicator_report_bounds():
-    IndicatorReport(1, 0, 0.5, 0, 1, 1, 0.375, 1)
-    with pytest.raises(ValueError):
-        IndicatorReport(1.2, 0, 0, 0, 1, 1, 0.3, 1)
+    rep = IndicatorReport.from_dict(_report_row(1, 0, 0.5, 0, 1, 1, 0.375, 1))
+    assert rep == IndicatorReport(1, 0, 0.5, 0, 1, 1, 0.375, 1)
+    assert rep.to_dict() == _report_row(1, 0, 0.5, 0, 1, 1, 0.375, 1)
+    assert rep.quadruple() == (1, 0, 0.5, 0)
+    for i, name in enumerate(IndicatorReport._fields):
+        for value in (1.2, -0.1, float("nan")):
+            fields = [0.5] * 8
+            fields[i] = value
+            with pytest.raises(ValueError, match=re.escape(f"{name}={value!r} outside")):
+                IndicatorReport.from_dict(_report_row(*fields))
 
 
 @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
@@ -284,7 +306,7 @@ def test_indicator_report_fields_must_be_numbers(value):
         fields[i] = value
         with pytest.raises(ValueError,
                            match=re.escape(f"{name} must be a number, got {value!r}")):
-            IndicatorReport(*fields)
+            IndicatorReport.from_dict(_report_row(*fields))
 
 
 def test_config_defaults_and_echo():

@@ -7,7 +7,8 @@ from math import fsum
 import pytest
 
 from bcscan import synth
-from bcscan.detector import DOCS_KEPT, DetectionResult, _weighted_doc, detect
+from bcscan.detector import (DOCS_KEPT, DetectionResult, _weighted_doc, detect,
+                             score_cohort)
 from bcscan.ingest import ingest_ratings
 from bcscan.model import (BadWeights, Biclique, DetectionConfig, IndicatorReport,
                           RatingGraph)
@@ -393,6 +394,20 @@ class TestNoCopy:
         assert changed > kept == 3
 
 
+def test_every_built_report_passes_the_load_check(sessions):
+    """Reports are built unchecked; every one that ``detect``,
+    ``score_cohort`` and a re-weighted ``evaluate`` build must pass the
+    check a report read from a file gets, and every result must load."""
+    for graph, config, cache in sessions:
+        cohort = score_cohort(graph, [b for b, _ in cache.scored], config)
+        reweighted = [pair for weights in MEMO_WEIGHTS for pair in evaluate(
+            QueryAst(weights=weights, doc_min=0.0), graph, config, cache).groups]
+        for _, rep in (*cache.scored, *cohort, *reweighted):
+            assert IndicatorReport.from_dict(rep.to_dict()) == rep
+        assert DetectionResult.from_dict(cache.to_dict(), graph).to_dict() \
+            == cache.to_dict()
+
+
 def _random_query(rng: random.Random, graph, config, cache) -> QueryAst:
     """A query over ``cache``: any projection; the session weights, their
     explicit copy or other weights; ``on``/``contains`` drawn from a cached
@@ -513,8 +528,14 @@ class TestDocMemo:
         copied = replace(cache)
         rebuilt = DetectionResult(cache.scored, cache.expanded_count, cache.config)
         loaded = DetectionResult.from_dict(cache.to_dict(), graph)
+        # the load checked the stored doc against a column of its own under
+        # its config's weights, and kept only that one
+        weights = cache.config.weights
+        assert list(loaded._docs) == [weights]
+        assert loaded._docs[weights] == cache.docs(weights)
+        assert loaded._docs[weights] is not cache.docs(weights)
         for other in (copied, rebuilt, loaded):
-            assert other._docs == {}
+            assert MEMO_WEIGHTS[1] not in other._docs
             assert other.docs(MEMO_WEIGHTS[1]) == cache.docs(MEMO_WEIGHTS[1])
             assert other.docs(MEMO_WEIGHTS[1]) is not cache.docs(MEMO_WEIGHTS[1])
         copied.docs(MEMO_WEIGHTS[2])
@@ -524,10 +545,17 @@ class TestDocMemo:
 
 def _hand_written(reports) -> tuple[RatingGraph, DetectionResult]:
     """The five-block graph and a result over its groups with the given
-    report fields, loaded as a result.json holding them would be."""
+    behavioural indicators, loaded as a result.json holding them would be.
+    The loader checks each row's derived fields, so doc is the row's DOC
+    under the result's weights, and gs, gps and di are 1: the five groups
+    are the same size."""
     graph, shape = five_block_fixture()
+    weights = shape.config.weights
     data = shape.to_dict()
-    data["scored"] = [{**b.to_dict(), **rep} for (b, _), rep in zip(shape.scored, reports)]
+    data["scored"] = [{**b.to_dict(), **rep, "gs": 1.0, "gps": 1.0, "di": 1.0,
+                       "doc": _weighted_doc((rep["gvs"], rep["gts"], rep["grs"],
+                                             rep["gms"]), weights)}
+                      for (b, _), rep in zip(shape.scored, reports)]
     data["collusive"] = sorted(
         (row for row in data["scored"] if row["doc"] > shape.config.delta),
         key=lambda row: (-row["doc"], row["reviewers"], row["products"]))

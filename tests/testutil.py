@@ -11,8 +11,8 @@ far too large for the exponential oracle. ``reference_build_graph`` is the
 earlier multi-step duplicate collapse (pair and product counts, spamicity,
 a date-to-day map, last posting per pair), kept as a differential reference
 for the one-pass ``build_graph``. ``reference_evaluate`` is the earlier
-query evaluator, which rebuilt the report of every kept group with
-``dataclasses.replace`` and sorted its matches, kept as a differential
+query evaluator, which rebuilt the report of every kept group with its
+re-weighted DOC and sorted its matches, kept as a differential
 reference for the one-pass ``query.evaluate``; ``reference_weighted_doc``
 is the generator form of the DOC sum it used. ``reference_prune`` is the
 earlier fixed-point prune, which rebuilt per-reviewer product sets on every
@@ -36,7 +36,7 @@ import json
 import logging
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from math import fsum, sqrt
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -363,7 +363,7 @@ def reference_evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfi
         return QueryResult("reviewers", ids=tuple(ids), warnings=tuple(warnings))
     # only the bicliques projection shows reports, re-weighted to the query
     kept.sort(key=lambda item: item[0].key)
-    groups = tuple((group, replace(rep, doc=doc)) for group, rep, doc in kept)
+    groups = tuple((group, rep._replace(doc=doc)) for group, rep, doc in kept)
     return QueryResult("bicliques", groups=groups, warnings=tuple(warnings))
 
 
