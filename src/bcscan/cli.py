@@ -31,14 +31,15 @@ import json
 import logging
 import sys
 from contextlib import nullcontext
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import click
 
 from . import __version__
 from .model import (BcscanError, Biclique, DetectionConfig,
-                    IndicatorReport, RatingGraph, fields_of, json_objects,
-                    read_json_lines, scored_row, validate_weights)
+                    IndicatorReport, RatingGraph, fields_of, id_lists,
+                    json_objects, read_json_lines, scored_row, validate_weights)
 from . import ingest as ingest_mod
 from .indicators import cumulative_distribution
 from .mining import enumerate_candidates
@@ -230,8 +231,10 @@ def _read_jsonl(path: str, kind: str) -> list[dict]:
 def _load_candidates(path: str, graph: RatingGraph) -> list[Biclique]:
     """The groups of a candidate JSONL, one per key."""
     with fields_of("candidate file"):
-        groups = [Biclique.from_graph(row["reviewers"], row["products"], graph)
-                  for row in _read_jsonl(path, "candidate file")]
+        rows = _read_jsonl(path, "candidate file")
+        groups = list(map(Biclique.from_graph,
+                          id_lists(rows, "reviewers", "candidate file"),
+                          id_lists(rows, "products", "candidate file"), repeat(graph)))
     return list({b.key: b for b in groups}.values())
 
 
@@ -468,23 +471,15 @@ def stats(scored_path, out, **overrides):
     with fields_of("scored file"):
         rows = _read_jsonl(scored_path, "scored file")
         reports = [IndicatorReport.from_dict(row) for row in rows]
-        check_derived("scored file row",
-                      [_id_count(row, "reviewers") for row in rows],
-                      [_id_count(row, "products") for row in rows], reports)
+        reviewers, products = (id_lists(rows, side, "scored file")
+                               for side in ("reviewers", "products"))
+        check_derived("scored file row", [len(set(ids)) for ids in reviewers],
+                      [len(set(ids)) for ids in products], reports)
     labels = ["collusive" if route(rep, delta) == "collusive" else "other"
               for rep in reports]
     _echo_out(_csv(["indicator", "label", "value", "cumulative"],
                    ([p.indicator, p.label, repr(p.value), repr(p.cumulative)]
                     for p in cumulative_distribution(reports, labels))), out)
-
-
-def _id_count(row: dict, side: str) -> int:
-    """How many distinct ids a scored row lists on one side of its group."""
-    ids = row[side]
-    if not isinstance(ids, list) or not ids or not all(isinstance(i, str) for i in ids):
-        raise ValueError(f"scored file {side} must be a non-empty list of ids, "
-                         f"got {ids!r}")
-    return len(set(ids))
 
 
 @cli.group()

@@ -4,15 +4,16 @@ expand damaging-but-undecided groups into their tighter sub-groups."""
 from __future__ import annotations
 
 import logging
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 from math import fsum
 from operator import attrgetter, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (Biclique, DetectionConfig, IndicatorReport, RatingGraph,
-                    fields_of, json_objects, scored_row, validate_weights)
+                    fields_of, id_lists, json_objects, scored_row, validate_weights)
 from .indicators import (SuspiciousnessTable, build_suspiciousness,
                          group_member_suspiciousness, group_rating_spamicity,
                          group_time_similarity, group_value_similarity)
@@ -57,6 +58,15 @@ def route(rep: IndicatorReport, delta: float) -> str:
     return "clear"
 
 
+class Postings(NamedTuple):
+    """Each product id and each reviewer id of a result's scored groups,
+    in sorted order, mapped to the ascending positions in ``scored`` of the
+    groups that hold it."""
+
+    products: dict[str, tuple[int, ...]]
+    reviewers: dict[str, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class DetectionResult:
     """Outcome of a detection run.
@@ -68,11 +78,13 @@ class DetectionResult:
     otherwise), so no group is listed twice.
 
     A result also remembers its sorted ``collusive`` tuple, its four
-    behavioural indicator columns and the DOC column of the last few weight
-    vectors ``docs`` was asked for, so none is built twice. These memos are
-    not part of the result's value: they stay out of ``to_dict``, equality,
-    hashing and repr, and ``dataclasses.replace`` starts the new result
-    without them.
+    behavioural indicator columns, its ``postings`` and the DOC column of
+    the last few weight vectors ``docs`` was asked for, so none is built
+    twice. Each is built on first use; the postings are first used by a
+    query, so neither ``detect`` nor the loader builds them. These memos
+    are not part of the result's value: they stay out of ``to_dict``,
+    equality, hashing and repr, and ``dataclasses.replace`` starts the new
+    result without them.
     """
 
     scored: tuple[tuple[Biclique, IndicatorReport], ...]
@@ -106,6 +118,20 @@ class DetectionResult:
         reports = [rep for _, rep in self.scored]
         return tuple(tuple(map(attrgetter(name), reports))
                      for name in IndicatorReport._fields[:4])
+
+    @cached_property
+    def postings(self) -> Postings:
+        """Where each id occurs among the scored groups (see ``Postings``);
+        the index a query filtered on ids reads instead of every group."""
+        by_product: defaultdict[str, list[int]] = defaultdict(list)
+        by_reviewer: defaultdict[str, list[int]] = defaultdict(list)
+        for i, (b, _) in enumerate(self.scored):
+            for p in b.products:
+                by_product[p].append(i)
+            for r in b.reviewers:
+                by_reviewer[r].append(i)
+        return Postings(*({ident: tuple(side[ident]) for ident in sorted(side)}
+                          for side in (by_product, by_reviewer)))
 
     @property
     def examined_count(self) -> int:
@@ -149,16 +175,18 @@ class DetectionResult:
     @classmethod
     def from_dict(cls, data: Mapping, graph: RatingGraph) -> "DetectionResult":
         """Load a result; ValueError if it or one of its rows is not a JSON
-        object with every field, if a row's ``gs``, ``gps``, ``di`` or
-        ``doc`` is not what its group and indicators derive to under the
-        result's config (see ``check_derived``), or if its collusive list is
-        not derived."""
+        object with every field, if a row's reviewers or products are not a
+        non-empty list of ids (see ``id_lists``), if a row's ``gs``,
+        ``gps``, ``di`` or ``doc`` is not what its group and indicators
+        derive to under the result's config (see ``check_derived``), or if
+        its collusive list is not derived."""
         if not isinstance(data, Mapping):
             raise ValueError("a result must be a JSON object")
         with fields_of("result"):
-            scored = tuple((Biclique.from_graph(row["reviewers"], row["products"], graph),
-                            IndicatorReport.from_dict(row))
-                           for row in json_objects(data["scored"], "result scored row"))
+            rows = list(json_objects(data["scored"], "result scored row"))
+            groups = map(Biclique.from_graph, id_lists(rows, "reviewers", "result"),
+                         id_lists(rows, "products", "result"), repeat(graph))
+            scored = tuple(zip(groups, map(IndicatorReport.from_dict, rows)))
             result = cls(scored, int(data["expanded_count"]),
                          DetectionConfig.from_dict(data["config"]))
             check_derived("result scored row",
@@ -166,9 +194,10 @@ class DetectionResult:
                           [len(b.products) for b, _ in scored],
                           [rep for _, rep in scored],
                           result.docs(result.config.weights))
-            listed = [(tuple(sorted(set(row["reviewers"]))),
-                       tuple(sorted(set(row["products"]))))
-                      for row in json_objects(data["collusive"], "result collusive row")]
+            collusive = list(json_objects(data["collusive"], "result collusive row"))
+            listed = [(tuple(sorted(set(rs))), tuple(sorted(set(ps))))
+                      for rs, ps in zip(id_lists(collusive, "reviewers", "result"),
+                                        id_lists(collusive, "products", "result"))]
         if listed != [b.key for b, _ in result.collusive]:
             raise ValueError("the result's collusive list does not match its "
                              "scored groups above delta")

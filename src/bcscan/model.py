@@ -13,6 +13,7 @@ import json.scanner
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import fsum, isfinite
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -112,6 +113,23 @@ def read_json_lines(lines: Iterable[str], kind: str) -> Iterator[dict]:
         if not isinstance(record, dict):
             raise ValueError(f"{kind} line {n} is not a JSON object")
         yield record
+
+
+def id_lists(rows: Iterable[Mapping], side: str, kind: str) -> list[list[str]]:
+    """Each record's ``side`` field ("reviewers" or "products"), checked to
+    be a non-empty JSON list of strings: ValueError "<kind> <side> must be a
+    non-empty list of ids, got ..." for the first that is not, and KeyError
+    for a missing one. The whole column is checked at once, and searched
+    row by row only when it fails."""
+    column = [row[side] for row in rows]
+    if not ({*map(type, column)} <= {list} and all(column)
+            and {*map(type, chain.from_iterable(column))} <= {str}):
+        for ids in column:
+            if not (ids.__class__ is list and ids
+                    and all(i.__class__ is str for i in ids)):
+                raise ValueError(f"{kind} {side} must be a non-empty list of ids, "
+                                 f"got {ids!r}")
+    return column
 
 
 @contextmanager
@@ -254,6 +272,12 @@ class RatingGraph:
     def __len__(self) -> int:
         return self._n_edges
 
+    def has_reviewer(self, reviewer: str) -> bool:
+        return reviewer in self._by_reviewer
+
+    def has_product(self, product: str) -> bool:
+        return product in self._by_product
+
     def edge(self, reviewer: str, product: str) -> RatingEdge:
         return self._by_reviewer[reviewer][product]
 
@@ -311,9 +335,10 @@ class RatingGraph:
             raise ValueError(f"snapshot epoch must be a date string or null, got {epoch!r}")
         epoch = date.fromisoformat(epoch) if epoch else None
         floors = {k: header[k] for k in PRUNE_FLOORS if k in header}
-        DetectionConfig(**floors)   # checks the floors as detect's config does
         with fields_of("snapshot"):
             max_value = _as_float("max_value", header["max_value"])
+            # checks the scale and the floors as detect's config does
+            DetectionConfig(max_value=max_value, **floors)
             # the fields go in as read, so RatingEdge rejects a day that is
             # not an integer and a value or spamicity that is not a number
             edges = [RatingEdge(rec["r"], rec["p"], rec["v"], rec["t"], rec["s"])

@@ -249,51 +249,73 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
              cache: DetectionResult, strict: bool = False) -> QueryResult:
     """Run a query against the detection result ``cache``.
 
-    A query is one pass over the cached groups, which keeps their canonical
-    order. Query weights override the config's; each group's DOC is
-    re-aggregated from its cached indicator quadruple, never re-mined, and
-    read from ``cache.docs``, which computes a weight vector's DOC column
-    in one pass over the cache's indicator columns and reuses it for later
-    queries under the same weights. The effective DOC floor is the query's
+    Query weights override the config's; each group's DOC is re-aggregated
+    from its cached indicator quadruple, never re-mined, and read from
+    ``cache.docs``, which computes a weight vector's DOC column in one pass
+    over the cache's indicator columns and reuses it for later queries
+    under the same weights. The effective DOC floor is the query's
     threshold, or delta when the query names none; matches must exceed it
-    strictly. A kept group whose re-aggregated DOC equals the cached one, as
-    it does under the weights ``detect`` scored the cache with (a loaded
-    cache's stored DOC is checked on load to be that value), is returned
-    as the cached ``(group, report)`` pair itself; only a group whose DOC
-    changes gets a new pair and report. An unknown filter id raises
-    UnknownId under ``strict``, and otherwise only adds a warning to the
-    result.
+    strictly.
+
+    A query reads only the groups that can be in its answer. With ``on``
+    or ``contains``, those are the groups in every listed id's posting list
+    (``cache.postings``, built on first use), taken in ascending position,
+    so in canonical order; an id in no group leaves none. Without them, the
+    ``products`` and ``reviewers`` projections keep each id whose posting
+    list holds a group above the floor when the projected side has fewer
+    ids than the cache has groups, and the other queries are one pass over
+    the cached groups.
+
+    A kept group whose re-aggregated DOC equals the cached one, as it does
+    under the weights ``detect`` scored the cache with (a loaded cache's
+    stored DOC is checked on load to be that value), is returned as the
+    cached ``(group, report)`` pair itself; only a group whose DOC changes
+    gets a new pair and report. An unknown filter id raises UnknownId under
+    ``strict``, and otherwise only adds a warning to the result.
     """
     docs = cache.docs(ast.weights if ast.weights is not None else config.weights)
     floor = float(ast.doc_min if ast.doc_min is not None else config.delta)
 
     warnings: list[str] = []
-    for ids, known, side in ((ast.on or (), graph.products, "product"),
-                             (ast.contains or (), graph.reviewers, "reviewer")):
+    for ids, known, side in ((ast.on or (), graph.has_product, "product"),
+                             (ast.contains or (), graph.has_reviewer, "reviewer")):
         for ident in ids:
-            if ident not in known:
+            if not known(ident):
                 message = f"unknown {side} id {ident!r}"
                 if strict:
                     raise UnknownId(message)
                 warnings.append(message)
+    warnings = tuple(warnings)
 
-    # (cached pair, doc) for each strict exceeder of the floor
-    kept = compress(zip(cache.scored, docs), map(floor.__lt__, docs))
-    if ast.on:
-        on = set(ast.on)
-        kept = [(pair, doc) for pair, doc in kept if on.issubset(pair[0].products)]
-    if ast.contains:
-        contains = set(ast.contains)
-        kept = [(pair, doc) for pair, doc in kept
-                if contains.issubset(pair[0].reviewers)]
+    if ast.on or ast.contains:
+        postings = cache.postings
+        lists = sorted([*(postings.products.get(i, ()) for i in ast.on or ()),
+                        *(postings.reviewers.get(i, ()) for i in ast.contains or ())],
+                       key=len)
+        rows = lists[0]
+        if len(lists) > 1:
+            common = set(rows).intersection(*lists[1:])
+            rows = [i for i in rows if i in common]
+        scored = cache.scored
+        # (cached pair, doc) for each strict exceeder of the floor
+        kept = [(scored[i], docs[i]) for i in rows if floor < docs[i]]
+    elif ast.projection != "bicliques" and \
+            len(rows_of := getattr(cache.postings, ast.projection)) < len(cache.scored):
+        # one test per id, which beats one per group when the ids are fewer;
+        # the postings' ids are sorted, so the answer comes out sorted, and
+        # an id's first group is tested alone first, as it mostly decides
+        above, doc_of = floor.__lt__, docs.__getitem__
+        ids = tuple(ident for ident, rows in rows_of.items()
+                    if above(doc_of(rows[0])) or any(map(above, map(doc_of, rows))))
+        return QueryResult(ast.projection, ids=ids, warnings=warnings)
+    else:
+        kept = compress(zip(cache.scored, docs), map(floor.__lt__, docs))
 
-    if ast.projection == "products":
-        ids = sorted(set(chain.from_iterable(group.products for (group, _), _ in kept)))
-        return QueryResult("products", ids=tuple(ids), warnings=tuple(warnings))
-    if ast.projection == "reviewers":
-        ids = sorted(set(chain.from_iterable(group.reviewers for (group, _), _ in kept)))
-        return QueryResult("reviewers", ids=tuple(ids), warnings=tuple(warnings))
+    if ast.projection != "bicliques":
+        ids = sorted(set(chain.from_iterable(getattr(group, ast.projection)
+                                             for (group, _), _ in kept)))
+        return QueryResult(ast.projection, ids=tuple(ids), warnings=warnings)
     # only the bicliques projection shows reports, re-weighted to the query
     groups = tuple(pair if doc == pair[1].doc else (pair[0], pair[1]._replace(doc=doc))
                    for pair, doc in kept)
-    return QueryResult("bicliques", groups=groups, warnings=tuple(warnings))
+    return QueryResult("bicliques", groups=groups, warnings=warnings)

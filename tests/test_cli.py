@@ -532,6 +532,25 @@ MALFORMED = {
     "scored-row-reviewers-not-a-list":
         ("scored", 0, lambda row: {**row, "reviewers": "r1"}, "stats",
          "scored file reviewers must be a non-empty list of ids, got 'r1'"),
+    "result-scored-row-reviewers-a-number":
+        ("result", None, lambda r: {**r, "scored": [{**r["scored"][0], "reviewers": 5},
+                                                    *r["scored"][1:]]},
+         "query", "result reviewers must be a non-empty list of ids, got 5"),
+    "result-collusive-row-products-empty":
+        ("result", None, lambda r: {**r, "collusive": [{**r["collusive"][0],
+                                                        "products": []},
+                                                       *r["collusive"][1:]]},
+         "query", "result products must be a non-empty list of ids, got []"),
+    "candidate-reviewers-a-number":
+        ("cands", 0, lambda row: {**row, "reviewers": 5}, "indicators",
+         "candidate file reviewers must be a non-empty list of ids, got 5"),
+    "candidate-products-a-string":
+        ("cands", 0, lambda row: {**row, "products": "p0001"}, "indicators",
+         "candidate file products must be a non-empty list of ids, got 'p0001'"),
+    # the scale detect rejects; the edges above it are not read first
+    "snapshot-header-max_value-one":
+        ("graph", 0, lambda h: {**h, "max_value": 1.0}, "mine",
+         "max_value must exceed 1, got 1.0"),
     "snapshot-second-edge-repeats-the-first":
         ("graph", slice(1, 2), lambda edges: edges * 2, "detect", "duplicate edge for"),
 }

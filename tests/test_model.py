@@ -11,7 +11,7 @@ import bcscan.model
 from bcscan.cli import _read_jsonl
 from bcscan.model import (BadWeights, Biclique, DetectionConfig, DuplicateEdge,
                           IndicatorReport, MissingEdge, RatingEdge, RatingGraph,
-                          read_json_lines, validate_weights)
+                          id_lists, read_json_lines, validate_weights)
 from testutil import make_graph, reference_read_json_lines, reference_snapshot
 
 
@@ -80,6 +80,10 @@ def test_graph_indexes_are_consistent():
     # both indexes see the same edge objects
     assert g.edge("u1", "p1") is g.edges_of_product("p1")[0]
     assert [e.reviewer + e.product for e in g.edges()] == ["u1p1", "u1p2", "u2p1"]
+    assert g.has_reviewer("u2") and g.has_product("p2")
+    # each side answers for its own ids only
+    assert not g.has_reviewer("p1") and not g.has_product("u1")
+    assert not g.has_reviewer("u3") and not g.has_product("")
 
 
 def test_biclique_requires_completeness():
@@ -208,6 +212,14 @@ def test_snapshot_floors_are_checked_as_a_config_checks_them(value):
             RatingGraph.loads(text)
 
 
+@pytest.mark.parametrize("value", [1.0, 0.5, 1])
+def test_snapshot_scale_is_checked_as_a_config_checks_it(value):
+    edges = [RatingEdge("u1", "p1", 1.0, 2)] if value >= 1 else []
+    text = RatingGraph(edges, max_value=value).snapshot()
+    with pytest.raises(ValueError, match="max_value must exceed 1"):
+        RatingGraph.loads(text)
+
+
 # edits of one snapshot edge line, each giving the lines that replace it
 LINE_EDITS = {
     "canonical": lambda line: [line],
@@ -266,6 +278,26 @@ def test_candidate_jsonl_reads_as_json_loads_reads_it(tmp_path):
         assert _outcome(lambda: _read_jsonl(str(path), "candidate file")) == want
     path.write_text(body, encoding="utf-8")
     assert _read_jsonl(str(path), "candidate file") == rows
+
+
+@pytest.mark.parametrize("ids", [5, "r1", [], None, True, ["r1", 2], [["r1"]],
+                                 {"r1": 1}, ("r1",)])
+def test_id_lists_names_the_first_list_that_is_not_one_of_ids(ids):
+    rows = [{"reviewers": ["r1", "r2"]}, {"reviewers": ids}, {"reviewers": 7}]
+    with pytest.raises(ValueError) as exc:
+        id_lists(rows, "reviewers", "result")
+    assert str(exc.value) == \
+        f"result reviewers must be a non-empty list of ids, got {ids!r}"
+
+
+def test_id_lists_returns_each_row_list_as_read():
+    rows = [{"products": ["p2", "p1", "p2"]}, {"products": ["p1"]}]
+    column = id_lists(rows, "products", "kind")
+    assert column == [["p2", "p1", "p2"], ["p1"]]
+    assert all(ids is row["products"] for ids, row in zip(column, rows))
+    assert id_lists([], "products", "kind") == []
+    with pytest.raises(KeyError):
+        id_lists([{"reviewers": ["r1"]}], "products", "kind")
 
 
 def test_weights_validation():

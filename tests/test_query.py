@@ -411,15 +411,20 @@ def test_every_built_report_passes_the_load_check(sessions):
 def _random_query(rng: random.Random, graph, config, cache) -> QueryAst:
     """A query over ``cache``: any projection; the session weights, their
     explicit copy or other weights; ``on``/``contains`` drawn from a cached
-    group with repeats and unknown ids; no DOC floor, a random one, or one
-    set exactly to a group's DOC under the query's weights."""
+    group with repeats and unknown ids, either clause or both, and at times
+    with ids from a second group too, so that every id is known but their
+    posting lists may not meet; no DOC floor, a random one, or one set
+    exactly to a group's DOC under the query's weights."""
     weights = rng.choice([None, config.weights, *SESSION_WEIGHTS])
     group, rep = rng.choice(cache.scored)
+    other, _ = rng.choice(cache.scored)
 
-    def ids(pool, known):
+    def ids(pool, other_pool, known):
         if rng.random() < 0.5:
             return None
         picked = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            picked.append(rng.choice(other_pool))
         if rng.random() < 0.3:
             picked.append(rng.choice(known))
         if rng.random() < 0.2:
@@ -434,8 +439,8 @@ def _random_query(rng: random.Random, graph, config, cache) -> QueryAst:
     else:
         doc_min = rng.randint(0, 100) / 100
     return QueryAst(rng.choice(["bicliques", "products", "reviewers"]), weights,
-                    ids(group.products, graph.products),
-                    ids(group.reviewers, graph.reviewers), doc_min)
+                    ids(group.products, other.products, graph.products),
+                    ids(group.reviewers, other.reviewers, graph.reviewers), doc_min)
 
 
 def _assert_matches_reference(ast, graph, config, cache):
@@ -513,11 +518,12 @@ class TestDocMemo:
         graph, cold = five_block_fixture()
         warm = replace(cold)
         for weights in MEMO_WEIGHTS:
-            evaluate(QueryAst(weights=weights), graph, warm.config, warm)
+            evaluate(QueryAst(weights=weights, on=("g0p0",)), graph, warm.config, warm)
         assert warm._docs and not cold._docs
         assert warm.collusive is warm.collusive    # sorted once, then kept
         assert warm._columns is warm._columns      # built once, then kept
-        assert not {"collusive", "_columns"} & set(vars(replace(warm)))
+        assert warm.postings is warm.postings      # built once, then kept
+        assert not {"collusive", "_columns", "postings"} & set(vars(replace(warm)))
         assert warm.to_dict() == cold.to_dict()
         assert warm == cold and hash(warm) == hash(cold)
         assert repr(warm) == repr(cold)
@@ -541,6 +547,57 @@ class TestDocMemo:
         copied.docs(MEMO_WEIGHTS[2])
         assert MEMO_WEIGHTS[2] not in cache._docs
         assert MEMO_WEIGHTS[2] not in rebuilt._docs
+
+
+class TestPostings:
+    def test_only_a_query_that_reads_them_builds_them(self):
+        dataset = synth.generate(120, 20, 0.1, [synth.AttackScript()] * 2, seed=5)
+        config = DetectionConfig(prune_reviewer_min=1, prune_product_min=1)
+        graph = ingest_ratings(list(dataset.raw), config)
+        detected = detect(graph, config)
+        assert len(detected.scored) >= 2
+        detected.to_dict()
+        loaded = DetectionResult.from_dict(detected.to_dict(), graph)
+        for result in (detected, loaded):
+            evaluate(QueryAst(), graph, result.config, result)
+            assert "postings" not in vars(result)
+        (group, _), *_ = loaded.scored
+        evaluate(QueryAst(contains=group.reviewers[:1]), graph, loaded.config, loaded)
+        assert "postings" in vars(loaded)
+        assert "postings" not in vars(replace(loaded))
+        assert "postings" not in vars(detected)
+        evaluate(QueryAst("products"), graph, detected.config, detected)
+        assert "postings" in vars(detected)
+
+    def test_id_projections_match_the_reference_on_both_sides_of_the_size_rule(
+            self, sessions):
+        rng = random.Random(77)
+        for graph, config, shared in sessions:
+            # each whole session has fewer ids on each side than groups, so
+            # its id projections test ids; two of its groups hold more ids
+            # than that, so they take the pass over the groups
+            for cache in (shared, DetectionResult(shared.scored[:2], 0, config)):
+                for projection in ("products", "reviewers"):
+                    fewer = len(getattr(cache.postings, projection)) < len(cache.scored)
+                    assert fewer == (cache is shared)
+                    for _ in range(30):
+                        ast = _random_query(rng, graph, config, cache)
+                        _assert_matches_reference(
+                            replace(ast, projection=projection, on=None, contains=None),
+                            graph, config, cache)
+
+    def test_each_id_maps_to_the_ascending_positions_of_its_groups(self, sessions):
+        for _, _, shared in sessions:
+            postings = replace(shared).postings
+            for side in ("products", "reviewers"):
+                want = {}
+                for i, (b, _) in enumerate(shared.scored):
+                    for ident in getattr(b, side):
+                        want.setdefault(ident, []).append(i)
+                got = getattr(postings, side)
+                assert list(got) == sorted(want)
+                assert got == {ident: tuple(rows) for ident, rows in want.items()}
+                assert all(type(rows) is tuple for rows in got.values())
 
 
 def _hand_written(reports) -> tuple[RatingGraph, DetectionResult]:
