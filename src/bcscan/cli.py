@@ -419,10 +419,11 @@ def query_cmd(graph_path, result_path, config_path, query_text, repl, as_json,
 
 
 def _run_repl(answer):
-    """Answer each ';'-terminated statement read from stdin; a bad one is
-    reported on stderr and the session goes on. The prompts show only when
-    stdin and stdout are both terminals, where input() edits the line, so a
-    piped session prints exactly what -e prints for each statement."""
+    """Answer each ';'-terminated statement read from stdin, and at the end
+    of input any unfinished one; a bad one is reported on stderr and the
+    session goes on. The prompts show only when stdin and stdout are both
+    terminals, where input() edits the line, so a piped session prints
+    exactly what -e prints for each statement."""
     prompts = sys.stdin.isatty() and sys.stdout.isatty()
     if prompts:
         try:
@@ -432,13 +433,14 @@ def _run_repl(answer):
     click.echo("bcscan query prompt; finish statements with ';', "
                "'exit;' leaves", err=True)
     buffer = ""
-    while True:
+    done = False
+    while not done:
         try:
             line = input(("...> " if buffer else "bcs> ") if prompts else "")
         except EOFError:
-            break
+            line, done = "", True
         buffer = (buffer + "\n" + line).strip()
-        if not buffer.endswith(";"):
+        if not buffer or not (done or buffer.endswith(";")):
             continue
         statement, buffer = buffer, ""
         if statement in ("exit;", "quit;"):

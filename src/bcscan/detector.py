@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
 from math import fsum
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (Biclique, DetectionConfig, IndicatorReport, RatingGraph,
@@ -26,25 +26,40 @@ DOCS_KEPT = 8
 
 
 def degree_of_collusiveness(gvs: float, gts: float, grs: float, gms: float,
-                            weights: Iterable[float] = (0.25, 0.25, 0.25, 0.25),
+                            weights: Iterable[float] = DetectionConfig.weights,
                             ) -> float:
     """DOC: weighted sum of the four behavioural indicators.
 
     Weights must be four non-negative reals summing to 1 (BadWeights
-    otherwise), which keeps the result in [0, 1].
+    otherwise), which keeps the result in [0, 1]: a one-row ``_doc_column``.
     """
-    return _weighted_doc((gvs, gts, grs, gms), validate_weights(weights))
+    return _doc_column(((gvs,), (gts,), (grs,), (gms,)), validate_weights(weights))[0]
 
 
-def _weighted_doc(quadruple: Sequence[float], weights: Sequence[float]) -> float:
-    """DOC without the weight check, for weights validated once per call."""
-    value = fsum(map(mul, quadruple, weights))
-    return min(1.0, max(0.0, value))
+def _doc_column(columns: Sequence[Sequence[float]], weights: Sequence[float],
+                ) -> list[float]:
+    """The DOC of each row of the indicator ``columns`` (gvs, gts, grs, gms)
+    under validated ``weights``: the one DOC formula. Clamped to [0, 1] only
+    when a value falls outside, as weights within WEIGHT_TOLERANCE can give."""
+    w0, w1, w2, w3 = weights
+    column = [fsum((a * w0, b * w1, c * w2, d * w3)) for a, b, c, d in zip(*columns)]
+    if column and (min(column) < 0.0 or max(column) > 1.0):
+        column = [min(1.0, max(0.0, v)) for v in column]
+    return column
 
 
 def damaging_impact(gps: float, gs: float) -> float:
     """DI: how much damage the group can do, the mean of its two size scores."""
     return (gps + gs) / 2.0
+
+
+def _size_columns(reviewer_counts: Iterable[int], product_counts: Iterable[int],
+                  max_r: int, max_p: int) -> tuple[list[float], list[float], list[float]]:
+    """The gs, gps and di of groups of the given sizes, relative to the
+    cohort's largest reviewer and product counts: the one size formula."""
+    gs = [n / max_r for n in reviewer_counts]
+    gps = [n / max_p for n in product_counts]
+    return gs, gps, list(map(damaging_impact, gps, gs))
 
 
 def route(rep: IndicatorReport, delta: float) -> str:
@@ -138,28 +153,18 @@ class DetectionResult:
         return len(self.scored)
 
     def docs(self, weights: Iterable[float]) -> tuple[float, ...]:
-        """The DOC of every scored group under ``weights``, in scored order.
-
-        Each value is re-aggregated from the group's indicator quadruple
-        (a loaded result's stored ``doc`` is checked on load to equal it
-        under the result's weights), and equals
-        ``_weighted_doc(rep.quadruple(), weights)`` bit for bit. A new weight
-        vector costs one pass over the four indicator columns, clamped to
-        [0, 1] only when a value falls outside. BadWeights if the weights
-        are invalid. The columns of the DOCS_KEPT most recently used weight
-        vectors are kept, so a repeated weight vector costs no arithmetic.
+        """The DOC of every scored group under ``weights``, in scored order,
+        re-aggregated from the four indicator columns by ``_doc_column`` (a
+        loaded result's stored ``doc`` is checked on load to equal it under
+        the result's weights). BadWeights if the weights are invalid. The
+        columns of the DOCS_KEPT most recently used weight vectors are kept,
+        so a repeated weight vector costs no arithmetic.
         """
         weights = validate_weights(weights)
         memo = self._docs
         column = memo.pop(weights, None)
         if column is None:
-            w0, w1, w2, w3 = weights
-            column = [fsum((a * w0, b * w1, c * w2, d * w3))
-                      for a, b, c, d in zip(*self._columns)]
-            # weights within WEIGHT_TOLERANCE of summing to 1 can spill past 1
-            if column and (min(column) < 0.0 or max(column) > 1.0):
-                column = [min(1.0, max(0.0, v)) for v in column]
-            column = tuple(column)
+            column = tuple(_doc_column(self._columns, weights))
             if len(memo) >= DOCS_KEPT:
                 del memo[next(iter(memo))]
         memo[weights] = column
@@ -175,11 +180,12 @@ class DetectionResult:
     @classmethod
     def from_dict(cls, data: Mapping, graph: RatingGraph) -> "DetectionResult":
         """Load a result; ValueError if it or one of its rows is not a JSON
-        object with every field, if a row's reviewers or products are not a
-        non-empty list of ids (see ``id_lists``), if a row's ``gs``,
-        ``gps``, ``di`` or ``doc`` is not what its group and indicators
-        derive to under the result's config (see ``check_derived``), or if
-        its collusive list is not derived."""
+        object with every field, if its ``expanded_count`` is not an integer
+        from 0 to its row count or its ``examined_count`` not that count, if
+        a row's reviewers or products are not a non-empty list of ids (see
+        ``id_lists``), if a row's ``gs``, ``gps``, ``di`` or ``doc`` is not
+        what its group and indicators derive to under the result's config
+        (see ``check_derived``), or if its collusive list is not derived."""
         if not isinstance(data, Mapping):
             raise ValueError("a result must be a JSON object")
         with fields_of("result"):
@@ -187,8 +193,16 @@ class DetectionResult:
             groups = map(Biclique.from_graph, id_lists(rows, "reviewers", "result"),
                          id_lists(rows, "products", "result"), repeat(graph))
             scored = tuple(zip(groups, map(IndicatorReport.from_dict, rows)))
-            result = cls(scored, int(data["expanded_count"]),
+            result = cls(scored, data["expanded_count"],
                          DetectionConfig.from_dict(data["config"]))
+            expanded, examined = result.expanded_count, data["examined_count"]
+            # type() and not isinstance(): a JSON true is not a count
+            if not (type(expanded) is int and 0 <= expanded <= len(rows)):
+                raise ValueError(f"the result's expanded_count must be an integer from "
+                                 f"0 to its {len(rows)} scored rows, got {expanded!r}")
+            if not (type(examined) is int and examined == len(rows)):
+                raise ValueError(f"the result's examined_count must be its "
+                                 f"{len(rows)} scored rows, got {examined!r}")
             check_derived("result scored row",
                           [len(b.reviewers) for b, _ in scored],
                           [len(b.products) for b, _ in scored],
@@ -208,23 +222,21 @@ def check_derived(kind: str, reviewer_counts: Sequence[int],
                   product_counts: Sequence[int], reports: Sequence[IndicatorReport],
                   docs: Sequence[float] | None = None) -> None:
     """Check the fields of stored reports that derive from others, as
-    ``score_cohort`` and ``detect`` compute them: ``gs`` is the group's
-    reviewer count over the largest among the rows, ``gps`` likewise for
-    products, ``di`` is ``damaging_impact(gps, gs)`` and, when ``docs`` is
-    given, ``doc`` is its value for the row. ValueError "<kind> N: stored
-    <field> X is not the Y it derives to" for the first row N (from 1) of
-    the first field that differs."""
+    ``score_cohort`` and ``detect`` compute them: ``gs``, ``gps`` and ``di``
+    are what ``_size_columns`` gives for the rows' sizes relative to the
+    largest among the rows and, when ``docs`` is given, ``doc`` is its value
+    for the row. ValueError "<kind> N: stored <field> X is not the Y it
+    derives to" for the first row N (from 1) of the first field that
+    differs."""
     if not reports:
         return
-    max_r = max(reviewer_counts)
-    max_p = max(product_counts)
-    gs = tuple(n / max_r for n in reviewer_counts)
-    gps = tuple(n / max_p for n in product_counts)
-    derived = {"gs": gs, "gps": gps, "di": tuple(map(damaging_impact, gps, gs))}
+    derived = dict(zip(("gs", "gps", "di"),
+                       _size_columns(reviewer_counts, product_counts,
+                                     max(reviewer_counts), max(product_counts))))
     if docs is not None:
-        derived["doc"] = tuple(docs)
+        derived["doc"] = list(docs)
     for name, column in derived.items():
-        stored = tuple(map(attrgetter(name), reports))
+        stored = list(map(attrgetter(name), reports))
         if stored != column:
             n, value, want = next((n, a, b) for n, (a, b) in
                                   enumerate(zip(stored, column), 1) if a != b)
@@ -232,23 +244,18 @@ def check_derived(kind: str, reviewer_counts: Sequence[int],
                              f"is not the {want!r} it derives to")
 
 
-def _score(groups: Iterable[Biclique], table: SuspiciousnessTable,
+def _score(groups: Sequence[Biclique], table: SuspiciousnessTable,
            config: DetectionConfig, max_r: int, max_p: int,
            ) -> list[tuple[Biclique, IndicatorReport]]:
     """Score groups with size scores relative to the given maxima."""
-    out = []
-    for b in groups:
-        quadruple = (group_value_similarity(b),
-                     group_time_similarity(b, config.max_tw),
-                     group_rating_spamicity(b),
-                     group_member_suspiciousness(b, table))
-        gs = len(b.reviewers) / max_r
-        gps = len(b.products) / max_p
-        rep = IndicatorReport(*quadruple, gs, gps,
-                              _weighted_doc(quadruple, config.weights),
-                              damaging_impact(gps, gs))
-        out.append((b, rep))
-    return out
+    columns = list(zip(*[(group_value_similarity(b),
+                          group_time_similarity(b, config.max_tw),
+                          group_rating_spamicity(b),
+                          group_member_suspiciousness(b, table)) for b in groups]))
+    gs, gps, di = _size_columns([len(b.reviewers) for b in groups],
+                                [len(b.products) for b in groups], max_r, max_p)
+    return list(zip(groups, map(IndicatorReport, *columns, gs, gps,
+                                _doc_column(columns, config.weights), di)))
 
 
 def score_cohort(graph: RatingGraph, groups: Sequence[Biclique],

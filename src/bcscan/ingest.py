@@ -12,7 +12,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import (BcscanError, DEFAULT_MAX_VALUE, PRUNE_FLOORS, DetectionConfig,
-                    RatingEdge, RatingGraph)
+                    RatingEdge, RatingGraph, iso_date)
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +46,9 @@ def parse_log(lines: Iterable[str], fmt: str = "csv",
     """Parse a rating log into RawRating records.
 
     ``fmt`` is "csv" (reviewer,product,value,yyyy-mm-dd) or "jsonl" (objects
-    with reviewer/product/value/date keys). Malformed lines are collected as
+    with reviewer/product/value/date keys; an id is a string or a number, a
+    value a number or numeric text, not a bool). A date must be YYYY-MM-DD
+    on every Python (see ``iso_date``). Malformed lines are collected as
     ParseError values and skipped; under ``strict`` the first one is raised.
     Returns (records, errors).
     """
@@ -82,8 +84,11 @@ def parse_log(lines: Iterable[str], fmt: str = "csv",
                            if k not in rec]
                 if missing:
                     raise ValueError(f"missing keys: {', '.join(missing)}")
-                reviewer, product = str(rec["reviewer"]), str(rec["product"])
+                reviewer, product = (_json_id(side, rec[side])
+                                     for side in ("reviewer", "product"))
                 value_s, date_s = rec["value"], str(rec["date"])
+                if isinstance(value_s, bool):
+                    raise ValueError(f"value must be a number, got {value_s!r}")
             if not reviewer or not product:
                 raise ValueError("empty reviewer or product id")
             value = float(value_s)
@@ -91,7 +96,7 @@ def parse_log(lines: Iterable[str], fmt: str = "csv",
                 raise ValueError(f"value {value!r} outside [1, {max_value}]")
             when = dates.get(date_s)
             if when is None:
-                when = dates[date_s] = date.fromisoformat(date_s)
+                when = dates[date_s] = iso_date(date_s)
         except Exception as exc:
             fail(line_no, str(exc))
             continue
@@ -101,8 +106,17 @@ def parse_log(lines: Iterable[str], fmt: str = "csv",
     return records, errors
 
 
-def prune(raw: list[RawRating], reviewer_min: int = 10,
-          product_min: int = 10) -> list[RawRating]:
+def _json_id(side: str, ident) -> str:
+    """A JSONL log id as text: a string, or a number written as its text;
+    ValueError for null, a bool, a list or an object."""
+    if isinstance(ident, bool) or not isinstance(ident, (str, int, float)):
+        raise ValueError(f"{side} id must be a string or a number, got {ident!r}")
+    return str(ident)
+
+
+def prune(raw: list[RawRating],
+          reviewer_min: int = DetectionConfig.prune_reviewer_min,
+          product_min: int = DetectionConfig.prune_product_min) -> list[RawRating]:
     """Drop thin activity until a joint fixed point.
 
     A reviewer survives with at least ``reviewer_min`` distinct rated

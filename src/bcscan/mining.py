@@ -129,8 +129,9 @@ def _closed_sets(holders: Sequence[str], items: Sequence[str],
     return found
 
 
-def enumerate_candidates(graph: RatingGraph, min_r: int = 2, min_p: int = 3,
-                         cap: int = 100_000) -> list[Biclique]:
+def enumerate_candidates(graph: RatingGraph, min_r: int = DetectionConfig.min_r,
+                         min_p: int = DetectionConfig.min_p,
+                         cap: int = DetectionConfig.candidate_cap) -> list[Biclique]:
     """Enumerate all maximal bicliques with >= min_r reviewers and >= min_p
     products, in key order.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import json.scanner
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
@@ -71,6 +72,18 @@ def validate_weights(weights: Iterable) -> tuple[float, float, float, float]:
     if abs(total - 1.0) > WEIGHT_TOLERANCE:
         raise BadWeights(f"weights sum to {total!r}, expected 1.0")
     return ws
+
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_date(text: str) -> date:
+    """A YYYY-MM-DD date. Any other text is a ValueError with the message
+    Python 3.10's ``date.fromisoformat`` gives, also the other ISO 8601
+    forms (20040301, 2004-W10-1) that Python 3.11's reads as dates."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
 
 
 def json_objects(rows: list, kind: str) -> Iterator[dict]:
@@ -165,9 +178,11 @@ class _EdgeFields(NamedTuple):
 class RatingEdge(_EdgeFields):
     """One collapsed rating: reviewer -> product with value, day and spamicity.
 
-    ``time`` is a day offset from the log epoch, ``spamicity`` the share of
-    the product's raw ratings contributed by this pair (0 unless the pair
-    posted more than twice). ``value`` and ``spamicity`` are stored as
+    The ids are non-empty strings (ValueError otherwise, so an id read as a
+    JSON number cannot reach a graph that sorts its ids). ``time`` is a day
+    offset from the log epoch, ``spamicity`` the share of the product's raw
+    ratings contributed by this pair (0 unless the pair posted more than
+    twice). ``value`` and ``spamicity`` are stored as
     floats and ``time`` must be an int, so a snapshot writes every edge in
     one form. An edge is a named tuple: immutable, hashable, indexable, and
     equal to the plain tuple of its five fields.
@@ -177,6 +192,10 @@ class RatingEdge(_EdgeFields):
 
     def __new__(cls, reviewer: str, product: str, value: float, time: int,
                 spamicity: float = 0.0):
+        if reviewer.__class__ is not str or product.__class__ is not str:
+            for side, ident in (("reviewer", reviewer), ("product", product)):
+                if not isinstance(ident, str):
+                    raise ValueError(f"{side} id must be a string, got {ident!r}")
         if not reviewer or not product:
             raise ValueError("reviewer and product ids must be non-empty")
         if value.__class__ is not float:
@@ -333,7 +352,7 @@ class RatingGraph:
         epoch = header.get("epoch")
         if epoch is not None and not isinstance(epoch, str):
             raise ValueError(f"snapshot epoch must be a date string or null, got {epoch!r}")
-        epoch = date.fromisoformat(epoch) if epoch else None
+        epoch = iso_date(epoch) if epoch else None
         floors = {k: header[k] for k in PRUNE_FLOORS if k in header}
         with fields_of("snapshot"):
             max_value = _as_float("max_value", header["max_value"])

@@ -10,9 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 from bcscan.cli import _write_result, cli
-from bcscan.detector import DetectionResult, _weighted_doc, detect, route
+from bcscan.detector import DetectionResult, detect, route
 from bcscan.model import DetectionConfig, RatingGraph
-from testutil import make_graph, random_graph
+from testutil import make_graph, random_graph, reference_weighted_doc
 
 
 @pytest.fixture()
@@ -313,7 +313,7 @@ class TestExitCodes:
         for row in reweighted:
             cached_row = saved[tuple(row["reviewers"]), tuple(row["products"])]
             quadruple = tuple(cached_row[k] for k in ("gvs", "gts", "grs", "gms"))
-            assert row["doc"] == _weighted_doc(quadruple, weights)
+            assert row["doc"] == reference_weighted_doc(quadruple, weights)
             assert _without(row, "doc") == _without(cached_row, "doc")
             changed += row["doc"] != cached_row["doc"]
         assert changed
@@ -553,6 +553,32 @@ MALFORMED = {
          "max_value must exceed 1, got 1.0"),
     "snapshot-second-edge-repeats-the-first":
         ("graph", slice(1, 2), lambda edges: edges * 2, "detect", "duplicate edge for"),
+    # an id that is not a string would reach the graph's sorted id lists
+    "snapshot-edge-r-a-number":
+        ("graph", 1, lambda e: {**e, "r": 5}, "mine",
+         "reviewer id must be a string, got 5"),
+    "snapshot-edge-p-a-list":
+        ("graph", 1, lambda e: {**e, "p": ["p1"]}, "detect",
+         "product id must be a string, got ['p1']"),
+    # the one date form every supported Python reads alike
+    "snapshot-header-epoch-a-basic-format-date":
+        ("graph", 0, lambda h: {**h, "epoch": "20040301"}, "detect",
+         "Invalid isoformat string: '20040301'"),
+    "snapshot-header-epoch-a-week-date":
+        ("graph", 0, lambda h: {**h, "epoch": "2004-W10-1"}, "mine",
+         "Invalid isoformat string: '2004-W10-1'"),
+    **{f"result-expanded_count-{name}":
+       ("result", None, lambda r, value=value: {**r, "expanded_count": value}, "query",
+        "expanded_count must be an integer from 0 to its ")
+       for name, value in (("a-string", "7"), ("a-fraction", 1.5), ("a-bool", True),
+                           ("negative", -3), ("past-the-rows", 10 ** 6))},
+    **{f"result-examined_count-{name}":
+       ("result", None, lambda r, value=value: {**r, "examined_count": value}, "query",
+        "examined_count must be its ")
+       for name, value in (("not-the-row-count", 999), ("a-string", "1"))},
+    "result-without-examined_count":
+        ("result", None, lambda r: _without(r, "examined_count"), "query",
+         "result has no 'examined_count' field"),
 }
 
 
@@ -604,6 +630,18 @@ class TestRepl:
         assert res.exit_code == 0
         assert "syntax error" in res.output  # the bad statement is not fatal
 
+    def test_a_final_statement_without_a_semicolon_is_answered(self, runner, tmp_path):
+        _, _, graph = seed_pipeline(runner, tmp_path)
+        result = tmp_path / "result.json"
+        assert run(runner, "detect", "--graph", str(graph),
+                   "--out", str(result)).exit_code == 0
+        repl = ["query", "--graph", str(graph), "--result", str(result), "--repl"]
+        first = run(runner, *repl, input="getbicliques();\n")
+        res = run(runner, *repl, input="getbicliques();\ngetbicliques.products()")
+        assert res.exit_code == 0
+        assert res.stdout == first.stdout != ""
+        assert "syntax error: expected ';'" in res.stderr
+
     def test_a_hand_edited_stored_doc_exits_3(self, runner, tmp_path):
         _, _, graph = seed_pipeline(runner, tmp_path)
         result = tmp_path / "result.json"
@@ -615,7 +653,8 @@ class TestRepl:
         data = json.loads(result.read_text())
         weights, delta = data["config"]["weights"], data["config"]["delta"]
         rows = data["scored"]
-        docs = [_weighted_doc((r["gvs"], r["gts"], r["grs"], r["gms"]), weights)
+        docs = [reference_weighted_doc((r["gvs"], r["gts"], r["grs"], r["gms"]),
+                                       weights)
                 for r in rows]
         assert docs == [r["doc"] for r in rows]
         high = max(range(len(rows)), key=docs.__getitem__)

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from bcscan.detector import (DetectionResult, _weighted_doc, damaging_impact,
+from bcscan.detector import (DetectionResult, damaging_impact,
                              degree_of_collusiveness, detect, route,
                              score_cohort)
 from bcscan.model import BadWeights, Biclique, DetectionConfig, IndicatorReport
@@ -39,7 +39,7 @@ class TestAggregates:
             parts = [rng.randint(0, 20) for _ in range(4)]
             parts[rng.randrange(4)] += 1
             weights = tuple(p / sum(parts) for p in parts)
-            assert _weighted_doc(quadruple, weights) == \
+            assert degree_of_collusiveness(*quadruple, weights) == \
                 reference_weighted_doc(quadruple, weights)
 
     def test_di_mean(self):

@@ -1,6 +1,7 @@
 """Ingest behaviour: parsing, pruning to a fixed point, and collapsing
 repeated opinions into dated edges with their spamicity."""
 
+import json
 import random
 from datetime import date, timedelta
 
@@ -28,6 +29,40 @@ class TestParseLog:
         records, errors = parse_log([line], fmt="jsonl")
         assert errors == []
         assert records[0].value == 4.5
+
+    def test_jsonl_ids_are_strings_or_numbers_and_values_not_bools(self):
+        def line(**fields):
+            return json.dumps({"reviewer": "u1", "product": "p1", "value": 4,
+                               "date": "2004-03-01", **fields})
+
+        lines = [line(reviewer=None), line(product=["p1"]), line(value=True),
+                 line(reviewer=True), line(product={"id": "p1"}),
+                 line(reviewer=17, product=2.5), line(value="4.5")]
+        records, errors = parse_log(lines, fmt="jsonl")
+        assert records == [rr("17", "2.5", 4, "2004-03-01"),
+                           rr("u1", "p1", 4.5, "2004-03-01")]
+        assert [(e.line_no, e.reason) for e in errors] == [
+            (1, "reviewer id must be a string or a number, got None"),
+            (2, "product id must be a string or a number, got ['p1']"),
+            (3, "value must be a number, got True"),
+            (4, "reviewer id must be a string or a number, got True"),
+            (5, "product id must be a string or a number, got {'id': 'p1'}")]
+
+    def test_only_plain_iso_dates_parse_on_every_python(self):
+        # Python 3.11's date.fromisoformat also reads these ISO 8601 forms,
+        # 3.10's does not; a log must ingest the same on both
+        lines = ["u1,p1,5,20040301", "u2,p1,4,2004-W10-1", "u3,p1,4,2004-03-01",
+                 "u4,p1,4,2004-03-01T00:00", "u5,p1,4,20040301",
+                 '{"reviewer": "u6", "product": "p1", "value": 4, "date": 20040301}']
+        records, errors = parse_log(lines[:5])
+        assert records == [rr("u3", "p1", 4, "2004-03-01")]
+        assert [(e.line_no, e.reason) for e in errors] == [
+            (1, "Invalid isoformat string: '20040301'"),
+            (2, "Invalid isoformat string: '2004-W10-1'"),
+            (4, "Invalid isoformat string: '2004-03-01T00:00'"),
+            (5, "Invalid isoformat string: '20040301'")]
+        _, errors = parse_log(lines[5:], fmt="jsonl")
+        assert [e.reason for e in errors] == ["Invalid isoformat string: '20040301'"]
 
     def test_value_out_of_range(self):
         records, errors = parse_log(["u1,p1,9,2004-03-01"], max_value=5.0)

@@ -40,6 +40,18 @@ def test_edge_stores_floats_and_an_int_time():
             RatingEdge("a", "x", **fields)
 
 
+def test_edge_ids_must_be_strings():
+    class Tag(str):
+        pass
+
+    assert RatingEdge(Tag("u1"), "p1", 4.0, 0).reviewer == "u1"
+    for side, bad in (("reviewer", 5), ("reviewer", None), ("product", ["p1"]),
+                      ("product", True), ("reviewer", b"u1")):
+        ids = {"reviewer": "u1", "product": "p1", side: bad}
+        with pytest.raises(ValueError, match=f"^{side} id must be a string, got "):
+            RatingEdge(ids["reviewer"], ids["product"], 4.0, 0)
+
+
 def test_edge_is_an_immutable_named_tuple():
     e = RatingEdge("u1", "p1", 4.0, 3, 0.5)
     assert e == ("u1", "p1", 4.0, 3, 0.5) and e[2] == 4.0

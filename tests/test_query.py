@@ -7,7 +7,7 @@ from math import fsum
 import pytest
 
 from bcscan import synth
-from bcscan.detector import (DOCS_KEPT, DetectionResult, _weighted_doc, detect,
+from bcscan.detector import (DOCS_KEPT, DetectionResult, detect,
                              score_cohort)
 from bcscan.ingest import ingest_ratings
 from bcscan.model import (BadWeights, Biclique, DetectionConfig, IndicatorReport,
@@ -381,7 +381,7 @@ class TestNoCopy:
                 b, rep = pair
                 old_pair = cached[b.key]
                 old = old_pair[1]
-                assert rep.doc == _weighted_doc(old.quadruple(), weights)
+                assert rep.doc == reference_weighted_doc(old.quadruple(), weights)
                 assert {**rep.to_dict(), "doc": None} == {**old.to_dict(), "doc": None}
                 if rep.doc != old.doc:
                     assert pair is not old_pair and rep is not old
@@ -435,7 +435,7 @@ def _random_query(rng: random.Random, graph, config, cache) -> QueryAst:
     if floor < 0.3:
         doc_min = None
     elif floor < 0.7:
-        doc_min = _weighted_doc(rep.quadruple(), weights or config.weights)
+        doc_min = reference_weighted_doc(rep.quadruple(), weights or config.weights)
     else:
         doc_min = rng.randint(0, 100) / 100
     return QueryAst(rng.choice(["bicliques", "products", "reviewers"]), weights,
@@ -461,8 +461,9 @@ def test_evaluate_matches_the_reference_evaluator(sessions):
             ast = _random_query(rng, graph, config, cache)
             _assert_matches_reference(ast, graph, config, cache)
             weights = ast.weights or config.weights
-            boundary_hits += any(_weighted_doc(rep.quadruple(), weights) == ast.doc_min
-                                 for _, rep in cache.scored)
+            boundary_hits += any(
+                reference_weighted_doc(rep.quadruple(), weights) == ast.doc_min
+                for _, rep in cache.scored)
     assert boundary_hits > 100
 
 
@@ -493,7 +494,8 @@ class TestDocMemo:
         graph, config, cache = sessions[0]
         for weights in MEMO_WEIGHTS:
             assert cache.docs(weights) == tuple(
-                _weighted_doc(rep.quadruple(), weights) for _, rep in cache.scored)
+                reference_weighted_doc(rep.quadruple(), weights)
+                for _, rep in cache.scored)
         # one column per weight vector, however it is spelled
         assert cache.docs([1, 0, 0, 0]) is cache.docs(("1.0", 0.0, "0", 0))
         with pytest.raises(BadWeights):
@@ -610,8 +612,8 @@ def _hand_written(reports) -> tuple[RatingGraph, DetectionResult]:
     weights = shape.config.weights
     data = shape.to_dict()
     data["scored"] = [{**b.to_dict(), **rep, "gs": 1.0, "gps": 1.0, "di": 1.0,
-                       "doc": _weighted_doc((rep["gvs"], rep["gts"], rep["grs"],
-                                             rep["gms"]), weights)}
+                       "doc": reference_weighted_doc((rep["gvs"], rep["gts"],
+                                                      rep["grs"], rep["gms"]), weights)}
                       for (b, _), rep in zip(shape.scored, reports)]
     data["collusive"] = sorted(
         (row for row in data["scored"] if row["doc"] > shape.config.delta),
@@ -625,7 +627,7 @@ def _bits(column) -> list[str]:
 
 class TestDocColumns:
     """``docs`` computes a column from the cached indicator columns; each
-    value must equal the per-group ``_weighted_doc`` bit for bit."""
+    value must equal the oracle ``reference_weighted_doc`` bit for bit."""
 
     def test_empty_result_gives_an_empty_column(self):
         empty = DetectionResult((), 0, DetectionConfig())
@@ -648,8 +650,9 @@ class TestDocColumns:
         for weights in MEMO_WEIGHTS:
             column = cache.docs(weights)
             assert all(type(v) is float for v in column)
-            assert _bits(column) == _bits(_weighted_doc(rep.quadruple(), weights)
-                                          for _, rep in cache.scored)
+            assert _bits(column) == _bits(
+                reference_weighted_doc(rep.quadruple(), weights)
+                for _, rep in cache.scored)
 
     def test_weights_within_tolerance_of_one_clamp_to_exactly_one(self):
         ones = {"gvs": 1.0, "gts": 1.0, "grs": 1.0, "gms": 1.0, "gs": 1.0, "gps": 1.0,
@@ -661,8 +664,8 @@ class TestDocColumns:
         weights = (0.25, 0.25, 0.25, 0.2500000009)
         assert fsum(w * 1.0 for w in weights) > 1.0
         column = cache.docs(weights)
-        assert _bits(column) == _bits(_weighted_doc(rep.quadruple(), weights)
-                                      for _, rep in cache.scored)
+        assert _bits(column) == _bits(
+            reference_weighted_doc(rep.quadruple(), weights) for _, rep in cache.scored)
         assert [column[i] for i in (0, 2, 4)] == [1.0, 1.0, 1.0]
         assert column[1] == fsum((0.5 * 0.25, 0.25, 0.25, 0.2500000009)) < 1.0
 
