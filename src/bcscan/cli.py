@@ -582,8 +582,10 @@ def synth_eval(data_path, truth_path, deltas, config_path, out, **overrides):
     if errors:
         raise ValueError(f"{len(errors)} malformed line(s) in {data_path}")
     with open(truth_path, "r", encoding="utf-8") as fp, fields_of("truth file"):
-        truth = tuple(TruthGroup(frozenset(t["reviewers"]), frozenset(t["products"]))
-                      for t in json_objects(json.load(fp), "truth file row"))
+        rows = list(json_objects(json.load(fp), "truth file row"))
+        sides = (map(frozenset, id_lists(rows, side, "truth file"))
+                 for side in ("reviewers", "products"))
+        truth = tuple(map(TruthGroup, *sides))
     dataset = LabeledDataset(tuple(records), truth, config.max_value)
     points = threshold_sweep(dataset, config, _parse_deltas(deltas))
     _echo_out(_csv(["delta", "precision", "precision_vacuous",

@@ -159,14 +159,26 @@ class DetectionResult:
         the result's weights). BadWeights if the weights are invalid. The
         columns of the DOCS_KEPT most recently used weight vectors are kept,
         so a repeated weight vector costs no arithmetic.
+
+        The memo is looked up by the weights as given before they are
+        checked: only validated weights are ever stored, so a vector equal
+        to a stored one is valid, and weights that ``parse`` or
+        ``DetectionConfig`` already checked are not checked again. Weights
+        that miss are validated, then looked up again as floats.
         """
-        weights = validate_weights(weights)
         memo = self._docs
-        column = memo.pop(weights, None)
+        try:
+            weights = tuple(weights)
+            column = memo.pop(weights, None)
+        except TypeError:   # not iterable, or an item is not hashable
+            column = None
         if column is None:
-            column = tuple(_doc_column(self._columns, weights))
-            if len(memo) >= DOCS_KEPT:
-                del memo[next(iter(memo))]
+            weights = validate_weights(weights)
+            column = memo.pop(weights, None)
+            if column is None:
+                column = tuple(_doc_column(self._columns, weights))
+                if len(memo) >= DOCS_KEPT:
+                    del memo[next(iter(memo))]
         memo[weights] = column
         return column
 

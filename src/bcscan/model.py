@@ -534,6 +534,9 @@ class DetectionConfig:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         if self.prune_reviewer_min < 0 or self.prune_product_min < 0:
             raise ValueError("prune thresholds must be non-negative")
+        if not isfinite(self.max_value):
+            # NaN passes every comparison below, and neither is JSON
+            raise ValueError(f"max_value must be finite, got {self.max_value}")
         if self.max_value <= 1.0:
             raise ValueError(f"max_value must exceed 1, got {self.max_value}")
         if self.candidate_cap < 1:

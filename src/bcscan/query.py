@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .model import (BadWeights, BcscanError, Biclique, DetectionConfig,
                     IndicatorReport, RatingGraph, scored_row, validate_weights)
@@ -58,38 +58,20 @@ class QueryAst:
     doc_min: float | None = None
 
 
-class _Token(NamedTuple):
-    kind: str   # ident | number | string | punct | end
-    text: str
-    pos: int
-
-
-_TOKEN_RE = re.compile(r"""
-      (?P<ws>\s+)
-    | (?P<number>\d+(?:\.\d+)?|\.\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<string>'[^']*'|"[^"]*")
-    | (?P<punct>[.,(){};>])
+# One ``findall`` pass splits a query into tokens, each the tuple of the
+# pattern's five groups, of which only its kind's group is not empty.
+# Whitespace before a token is skipped. Any other character is a token of
+# its own in the last group, which no grammar rule takes, so that ``parse``
+# can report it.
+_TOKENS = re.compile(r"""\s*(?:
+      (\d+(?:\.\d+)?|\.\d+)
+    | ([A-Za-z_][A-Za-z0-9_]*)
+    | ('[^']*'|"[^"]*")
+    | ([.,(){};>])
+    | (\S))
 """, re.VERBOSE)
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            value = m.group()
-            if kind == "string":
-                value = value[1:-1]
-            tokens.append(_Token(kind, value, pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
+_NUMBER, _IDENT, _STRING, _PUNCT, _OTHER = range(5)
+_ID = -1   # take()'s kind for an id: a number, a bare word or a string
 
 _PROJECTIONS = {"products": "products", "product": "products",
                 "reviewers": "reviewers", "reviewer": "reviewers"}
@@ -97,35 +79,43 @@ _ANY_PROJECTION = " or ".join(map(repr, _PROJECTIONS))
 # filter clause word -> the QueryAst field it sets
 _CLAUSES = {"on": "on", "contains": "contains", "contain": "contains", "DOC": "doc_min"}
 
-_IDENT, _NUMBER, _PUNCT = ("ident",), ("number",), ("punct",)
-_ID = ("ident", "string", "number")
+
+class _SyntaxAt(Exception):
+    """A syntax error at a token index, which ``parse`` places in the text."""
+
+
+def _text(token: tuple[str, ...]) -> str:
+    """A token's text; a string's without its quotes."""
+    return token[_STRING][1:-1] if token[_STRING] else "".join(token)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, ...]]):
         self.tokens = tokens
         self.i = 0
 
-    def take(self, kinds: tuple[str, ...], want: str | None,
-             texts: Sequence[str] = ()) -> _Token | None:
-        """Consume the next token if its kind is in ``kinds`` and, when
-        ``texts`` is given, its text is in ``texts`` (words, or a string of
-        punctuation characters). Otherwise return None, or raise "expected
-        <want>, found ..." when ``want`` names what belongs here."""
+    def take(self, kind: int, want: str | None, texts: Sequence[str] = ()) -> str | None:
+        """Consume the next token and return its text if it is of ``kind``
+        and, when ``texts`` is given, its text is in ``texts`` (words, or a
+        string of punctuation characters). Otherwise return None, or raise
+        "expected <want>, found ..." when ``want`` names what belongs here."""
         tok = self.tokens[self.i]
-        if tok.kind in kinds and (not texts or tok.text in texts):
+        if kind == _ID:
+            if tok[_NUMBER] or tok[_IDENT] or tok[_STRING]:
+                self.i += 1
+                return _text(tok)
+        elif (text := tok[kind]) and (not texts or text in texts):
             self.i += 1
-            return tok
+            return text
         if want is None:
             return None
-        raise QuerySyntaxError(f"expected {want}, found {tok.text or 'end of input'!r}",
-                               tok.pos)
+        raise _SyntaxAt(f"expected {want}, found {_text(tok) or 'end of input'!r}", self.i)
 
-    def items(self, kinds: tuple[str, ...], want: str) -> list[str]:
+    def items(self, kind: int, want: str) -> list[str]:
         """The texts of a comma-separated list of one or more tokens."""
-        texts = [self.take(kinds, want).text]
+        texts = [self.take(kind, want)]
         while self.take(_PUNCT, None, ","):
-            texts.append(self.take(kinds, want).text)
+            texts.append(self.take(kind, want))
         return texts
 
     # -- grammar ----------------------------------------------------------
@@ -135,24 +125,21 @@ class _Parser:
         take(_IDENT, "'getbicliques'", ("getbicliques",))
         projection = "bicliques"
         if take(_PUNCT, None, "."):
-            tok = take(_IDENT, _ANY_PROJECTION, _PROJECTIONS)
-            projection = _PROJECTIONS[tok.text]
+            projection = _PROJECTIONS[take(_IDENT, _ANY_PROJECTION, _PROJECTIONS)]
         take(_PUNCT, "'('", "(")
         weights = None
         if not take(_PUNCT, None, ")"):
             weights = self.items(_NUMBER, "a number")
             if len(weights) != 4:
-                raise QuerySyntaxError(f"expected 4 weights, found {len(weights)}",
-                                       self.tokens[self.i].pos)
+                raise _SyntaxAt(f"expected 4 weights, found {len(weights)}", self.i)
             take(_PUNCT, "')'", ")")
         # one semicolon is tolerated before a filter block
         semicolon = take(_PUNCT, None, ";")
         clauses = self.parse_filter() if take(_IDENT, None, ("filter",)) else {}
         if clauses or not semicolon:
             take(_PUNCT, "';'", ";")
-        tail = self.tokens[self.i]
-        if tail.kind != "end":
-            raise QuerySyntaxError(f"trailing input {tail.text!r}", tail.pos)
+        if self.i < len(self.tokens) - 1:
+            raise _SyntaxAt(f"trailing input {_text(self.tokens[self.i])!r}", self.i)
         # the semantic checks follow every syntax check
         if weights is not None:
             try:
@@ -170,10 +157,10 @@ class _Parser:
         take(_PUNCT, "'{'", "{")
         clauses = {}
         while not take(_PUNCT, None, "}"):
-            word = take(_IDENT, "a filter clause", _CLAUSES).text
+            word = take(_IDENT, "a filter clause", _CLAUSES)
             if word == "DOC":
                 take(_PUNCT, "'>'", ">")
-                value = float(take(_NUMBER, "a number").text)
+                value = float(take(_NUMBER, "a number"))
             else:
                 take(_PUNCT, "'('", "(")
                 value = tuple(self.items(_ID, "an id"))
@@ -185,13 +172,30 @@ class _Parser:
             clauses[field] = value
             take(_PUNCT, "';'", ";")
         if not clauses:
-            raise QuerySyntaxError("empty filter block", self.tokens[self.i].pos)
+            raise _SyntaxAt("empty filter block", self.i)
         return clauses
 
 
 def parse(text: str) -> QueryAst:
-    """Parse query text into an AST, then check its semantics."""
-    return _Parser(_lex(text)).parse_query()
+    """Parse query text into an AST, then check its semantics.
+
+    A character no token begins with is reported before any other error,
+    wherever it stands. Only a failed parse looks for one, and only then are
+    the character positions of the tokens worked out."""
+    tokens = _TOKENS.findall(text)
+    tokens.append(("",) * 5)   # the end of the text
+    try:
+        return _Parser(tokens).parse_query()
+    except (_SyntaxAt, QuerySemanticError) as exc:
+        stray = next((i for i, tok in enumerate(tokens) if tok[_OTHER]), None)
+        if stray is not None:
+            message, at = f"unexpected character {tokens[stray][_OTHER]!r}", stray
+        elif isinstance(exc, _SyntaxAt):
+            message, at = exc.args
+        else:
+            raise
+        positions = [m.start(m.lastindex) for m in _TOKENS.finditer(text)]
+        raise QuerySyntaxError(message, [*positions, len(text)][at]) from None
 
 
 def _format_number(x: float) -> str:
@@ -276,18 +280,14 @@ def evaluate(ast: QueryAst, graph: RatingGraph, config: DetectionConfig,
     docs = cache.docs(ast.weights if ast.weights is not None else config.weights)
     floor = float(ast.doc_min if ast.doc_min is not None else config.delta)
 
-    warnings: list[str] = []
-    for ids, known, side in ((ast.on or (), graph.has_product, "product"),
-                             (ast.contains or (), graph.has_reviewer, "reviewer")):
-        for ident in ids:
-            if not known(ident):
-                message = f"unknown {side} id {ident!r}"
-                if strict:
-                    raise UnknownId(message)
-                warnings.append(message)
-    warnings = tuple(warnings)
-
+    warnings: tuple[str, ...] = ()
     if ast.on or ast.contains:
+        warnings = tuple(f"unknown {side} id {ident!r}" for ids, known, side in (
+                             (ast.on or (), graph.has_product, "product"),
+                             (ast.contains or (), graph.has_reviewer, "reviewer"))
+                         for ident in ids if not known(ident))
+        if strict and warnings:
+            raise UnknownId(warnings[0])
         postings = cache.postings
         lists = sorted([*(postings.products.get(i, ()) for i in ast.on or ()),
                         *(postings.reviewers.get(i, ()) for i in ast.contains or ())],

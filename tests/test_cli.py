@@ -467,6 +467,13 @@ MALFORMED = {
     "truth-row-without-products":
         ("truth", None, lambda t: [_without(t[0], "products")], "eval",
          "truth file has no 'products' field"),
+    # neither a number nor text is taken for a set of ids
+    **{f"truth-row-{side}-{name}":
+       ("truth", None, lambda t, side=side, value=value: [{**t[0], side: value}, *t[1:]],
+        "eval", f"truth file {side} must be a non-empty list of ids, got {value!r}")
+       for side, name, value in (("reviewers", "an-int", 5), ("products", "a-string", "abc"),
+                                 ("reviewers", "a-list-of-ints", [1, 2, 3]),
+                                 ("products", "an-empty-list", []))},
     "config-delta-a-string":
         ("config", None, lambda c: {"delta": "0.5"}, "configured",
          "delta must be a number, got '0.5'"),
@@ -551,6 +558,15 @@ MALFORMED = {
     "snapshot-header-max_value-one":
         ("graph", 0, lambda h: {**h, "max_value": 1.0}, "mine",
          "max_value must exceed 1, got 1.0"),
+    # json reads and writes NaN and Infinity, which are not JSON
+    **{f"snapshot-header-max_value-{value}":
+       ("graph", 0, lambda h, value=value: {**h, "max_value": float(value)}, command,
+        f"max_value must be finite, got {float(value)}")
+       for value, command in (("nan", "detect"), ("inf", "mine"), ("-inf", "query"))},
+    **{f"config-max_value-{value}":
+       ("config", None, lambda c, value=value: {**c, "max_value": float(value)},
+        "configured", f"max_value must be finite, got {float(value)}")
+       for value in ("nan", "inf", "-inf")},
     "snapshot-second-edge-repeats-the-first":
         ("graph", slice(1, 2), lambda edges: edges * 2, "detect", "duplicate edge for"),
     # an id that is not a string would reach the graph's sorted id lists

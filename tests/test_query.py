@@ -1,20 +1,26 @@
 """Query language: lexing, parsing, rendering, evaluation."""
 
 import random
+import re
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from math import fsum
+from pathlib import Path
 
 import pytest
 
+import bcscan.detector as detector_module
 from bcscan import synth
 from bcscan.detector import (DOCS_KEPT, DetectionResult, detect,
                              score_cohort)
 from bcscan.ingest import ingest_ratings
-from bcscan.model import (BadWeights, Biclique, DetectionConfig, IndicatorReport,
-                          RatingGraph)
+from bcscan.model import (BadWeights, BcscanError, Biclique, DetectionConfig,
+                          IndicatorReport, RatingGraph, validate_weights)
 from bcscan.query import (QueryAst, QuerySemanticError, QuerySyntaxError,
                           UnknownId, evaluate, parse, pretty)
-from testutil import make_graph, reference_evaluate, reference_weighted_doc
+from testutil import (make_graph, reference_evaluate, reference_parse,
+                      reference_weighted_doc)
 
 
 class TestParse:
@@ -166,6 +172,88 @@ def test_malformed_query_error_and_position(text, error, message, position):
     assert type(err.value) is error
     assert str(err.value) == message
     assert getattr(err.value, "position", None) == position
+
+
+# the benchmark's 40-query mix of each workload at seed 1, as the CI query
+# step builds it (and checks this file against)
+QUERY_MIX = (Path(__file__).parent / "golden" / "query-mix-seed1.txt") \
+    .read_text(encoding="utf-8").splitlines()
+# what one-character and one-token mutations put in (U+00A0 is whitespace);
+# a whole clause can land in a filter block that has one
+FUZZ_CHARS = ".,(){};>'\"0123456789abcxyzDOC_#\n\t \u00a0"
+FUZZ_TOKENS = ["''", '""', "'abc", '"x', ".5", "1.", "42", "0.25", "DOC", ">",
+               "filter", "on", "contains", "{", "}", "(", ")", ",", ";", ".", "#",
+               "products", "getbicliques", " on(a);", " contain(b);"]
+
+
+def _random_ast(rng: random.Random) -> QueryAst:
+    """A random AST, its weights at times not summing to 1 and its DOC floor
+    at times above 1, so that its text can fail the semantic checks."""
+    def ids():
+        return tuple(rng.choice(["a", "b c", "O'Brien", 'say "x"', "7", "", "é", "p_1"])
+                     for _ in range(rng.randint(1, 3)))
+
+    parts = [rng.randint(0, 10) for _ in range(4)]
+    weights = tuple(p / (sum(parts) or 1) for p in parts)
+    if rng.random() < 0.1:
+        weights = (*weights[:3], weights[3] + 0.5)
+    return QueryAst(rng.choice(["bicliques", "products", "reviewers"]),
+                    weights if rng.random() < 0.6 else None,
+                    ids() if rng.random() < 0.5 else None,
+                    ids() if rng.random() < 0.5 else None,
+                    rng.choice([None, 0.0, 0.5, rng.random(), 1.0, 1.5]))
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    """``text`` with one character or one token inserted, deleted, replaced
+    or swapped with its neighbour."""
+    if rng.random() < 0.5:
+        units = list(text)
+        new = rng.choice(FUZZ_CHARS)
+    else:
+        units = re.findall(r"\s+|\w+|'[^']*'|\"[^\"]*\"|.", text)
+        new = rng.choice(FUZZ_TOKENS)
+    i = rng.randrange(len(units) + 1)
+    edit = rng.choice(["insert", "delete", "replace", "swap"])
+    if edit == "insert" or i == len(units):
+        units.insert(i, new)
+    elif edit == "delete":
+        del units[i]
+    elif edit == "replace":
+        units[i] = new
+    elif i + 1 < len(units):
+        units[i], units[i + 1] = units[i + 1], units[i]
+    return "".join(units)
+
+
+def _outcome(parser, text: str):
+    """What ``parser`` makes of ``text``: its AST, or its error's class,
+    message and position."""
+    try:
+        return parser(text)
+    except BcscanError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_parse_matches_the_reference_parser_on_mutated_queries():
+    rng = random.Random(2626)
+    bases = [*QUERY_MIX, *(pretty(_random_ast(rng)) for _ in range(280)),
+             *(text.replace("{", "{ DOC > 0.2;") for text in QUERY_MIX[::3])]
+    texts = [*bases, *(_mutated(rng, rng.choice(bases)) for _ in range(4800))]
+    texts += [_mutated(rng, text) for text in texts[-400:]]   # two edits
+    kinds = Counter()
+    for text in texts:
+        want = _outcome(reference_parse, text)
+        assert _outcome(parse, text) == want, text
+        kinds[QueryAst if isinstance(want, QueryAst) else
+              (want[0], want[1].split(" ", 1)[0])] += 1
+    assert len(texts) >= 5000
+    # every kind of outcome is well represented
+    assert kinds[QueryAst] > 1000
+    for kind in [(QuerySyntaxError, "unexpected"), (QuerySyntaxError, "expected"),
+                 (QuerySyntaxError, "trailing"), (QuerySemanticError, "weights"),
+                 (QuerySemanticError, "duplicate")]:
+        assert kinds[kind] > 50, kinds
 
 
 class TestPretty:
@@ -515,6 +603,52 @@ class TestDocMemo:
         assert cache.docs(MEMO_WEIGHTS[3]) is first[3]
         assert cache.docs(MEMO_WEIGHTS[2]) is not first[2]
         assert len(cache._docs) == DOCS_KEPT
+
+    def test_stored_weights_are_not_checked_again(self, sessions, monkeypatch):
+        checked = []
+
+        def counting(weights):
+            checked.append(weights)
+            return validate_weights(weights)
+
+        monkeypatch.setattr(detector_module, "validate_weights", counting)
+        cache = replace(sessions[0][2])
+        one = cache.docs((1.0, 0.0, 0.0, 0.0))
+        quarter = cache.docs((0.25, 0.25, 0.25, 0.25))
+        assert len(checked) == 2
+        # a list, ints or Fractions equal to a stored vector hit it unchecked
+        for weights, column in [([1.0, 0.0, 0.0, 0.0], one), ((1, 0, 0, 0), one),
+                                ([Fraction(1), 0, Fraction(0), 0.0], one),
+                                ([Fraction(1, 4)] * 4, quarter), ((0.25,) * 4, quarter)]:
+            assert cache.docs(weights) is column
+        assert len(checked) == 2
+        for weights, column in [((1.0, 0.0, 0.0, 0.0), one), ((0.25,) * 4, quarter)]:
+            assert _bits(column) == _bits(reference_weighted_doc(rep.quadruple(), weights)
+                                          for _, rep in cache.scored)
+        # numeric text is not equal to the stored floats: checked, then a hit
+        assert cache.docs(("1", "0", "0.0", 0)) is one
+        assert cache.docs(iter(["0.25"] * 4)) is quarter
+        assert len(checked) == 4 and len(cache._docs) == 2
+        # invalid weights raise on every call and are never stored
+        bad = [(0.5, 0.5, 0.5, 0.5), (1.0, 0.0, 0.0), ("x", 0, 0, 1), [[1], 0, 0, 0],
+               5, None, (float("nan"), 0.0, 0.0, 1.0), (-0.5, 0.5, 0.5, 0.5)]
+        for weights in bad * 2:
+            with pytest.raises(BadWeights):
+                cache.docs(weights)
+        assert len(checked) == 4 + 2 * len(bad)
+        assert len(cache._docs) == 2
+
+    def test_weights_spelled_otherwise_keep_the_eviction_order(self, sessions):
+        cache = replace(sessions[0][2])
+        first = [cache.docs(w) for w in MEMO_WEIGHTS[:DOCS_KEPT]]
+        assert cache.docs(list(MEMO_WEIGHTS[0])) is first[0]   # most recently used
+        cache.docs(map(str, MEMO_WEIGHTS[DOCS_KEPT]))           # drops MEMO_WEIGHTS[1]
+        assert len(cache._docs) == DOCS_KEPT
+        assert cache.docs(MEMO_WEIGHTS[0]) is first[0]
+        again = cache.docs(list(MEMO_WEIGHTS[1]))   # recomputed; drops MEMO_WEIGHTS[2]
+        assert again == first[1] and again is not first[1]
+        assert cache.docs(MEMO_WEIGHTS[3]) is first[3]
+        assert cache.docs(MEMO_WEIGHTS[2]) is not first[2]
 
     def test_memo_is_not_part_of_the_result(self):
         graph, cold = five_block_fixture()

@@ -27,6 +27,10 @@ products, are kept as ``reference_group_value_similarity``,
 ``reference_group_time_similarity`` and ``reference_group_rating_spamicity``
 (with their ``reference_cosine`` and ``reference_product_time_window``
 helpers), differential references for the row-reading indicators.
+``reference_parse`` is the earlier query front end, which lexed one
+``re.match`` and one ``_Token`` per token with its character position
+before parsing, kept as a differential reference for the one-``findall``
+``query.parse``.
 """
 
 from __future__ import annotations
@@ -35,19 +39,21 @@ import itertools
 import json
 import logging
 import random
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
 from math import fsum, sqrt
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from bcscan.detector import DetectionResult
 from bcscan.indicators import GroupTooSmall
 from bcscan.ingest import RawRating
 from bcscan.mining import BudgetExceeded
-from bcscan.model import (DEFAULT_MAX_VALUE, Biclique, DetectionConfig, RatingEdge,
-                          RatingGraph, validate_weights)
-from bcscan.query import QueryAst, QueryResult, UnknownId
+from bcscan.model import (DEFAULT_MAX_VALUE, BadWeights, Biclique, DetectionConfig,
+                          RatingEdge, RatingGraph, validate_weights)
+from bcscan.query import (QueryAst, QueryResult, QuerySemanticError, QuerySyntaxError,
+                          UnknownId)
 
 log = logging.getLogger(__name__)
 
@@ -425,3 +431,139 @@ def reference_group_rating_spamicity(group: Biclique) -> float:
     edges = group.edges
     total = fsum(e.value for e in edges)
     return fsum(e.value * e.spamicity for e in edges) / total
+
+
+class _Token(NamedTuple):
+    kind: str   # ident | number | string | punct | end
+    text: str
+    pos: int
+
+
+_TOKEN_RE = re.compile(r"""
+      (?P<ws>\s+)
+    | (?P<number>\d+(?:\.\d+)?|\.\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<string>'[^']*'|"[^"]*")
+    | (?P<punct>[.,(){};>])
+""", re.VERBOSE)
+
+
+def _lex(text: str) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind != "ws":
+            value = m.group()
+            if kind == "string":
+                value = value[1:-1]
+            tokens.append(_Token(kind, value, pos))
+        pos = m.end()
+    tokens.append(_Token("end", "", len(text)))
+    return tokens
+
+
+_PROJECTIONS = {"products": "products", "product": "products",
+                "reviewers": "reviewers", "reviewer": "reviewers"}
+_ANY_PROJECTION = " or ".join(map(repr, _PROJECTIONS))
+# filter clause word -> the QueryAst field it sets
+_CLAUSES = {"on": "on", "contains": "contains", "contain": "contains", "DOC": "doc_min"}
+
+_IDENT, _NUMBER, _PUNCT = ("ident",), ("number",), ("punct",)
+_ID = ("ident", "string", "number")
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.i = 0
+
+    def take(self, kinds: tuple[str, ...], want: str | None,
+             texts: Sequence[str] = ()) -> _Token | None:
+        """Consume the next token if its kind is in ``kinds`` and, when
+        ``texts`` is given, its text is in ``texts`` (words, or a string of
+        punctuation characters). Otherwise return None, or raise "expected
+        <want>, found ..." when ``want`` names what belongs here."""
+        tok = self.tokens[self.i]
+        if tok.kind in kinds and (not texts or tok.text in texts):
+            self.i += 1
+            return tok
+        if want is None:
+            return None
+        raise QuerySyntaxError(f"expected {want}, found {tok.text or 'end of input'!r}",
+                               tok.pos)
+
+    def items(self, kinds: tuple[str, ...], want: str) -> list[str]:
+        """The texts of a comma-separated list of one or more tokens."""
+        texts = [self.take(kinds, want).text]
+        while self.take(_PUNCT, None, ","):
+            texts.append(self.take(kinds, want).text)
+        return texts
+
+    # -- grammar ----------------------------------------------------------
+
+    def parse_query(self) -> QueryAst:
+        take = self.take
+        take(_IDENT, "'getbicliques'", ("getbicliques",))
+        projection = "bicliques"
+        if take(_PUNCT, None, "."):
+            tok = take(_IDENT, _ANY_PROJECTION, _PROJECTIONS)
+            projection = _PROJECTIONS[tok.text]
+        take(_PUNCT, "'('", "(")
+        weights = None
+        if not take(_PUNCT, None, ")"):
+            weights = self.items(_NUMBER, "a number")
+            if len(weights) != 4:
+                raise QuerySyntaxError(f"expected 4 weights, found {len(weights)}",
+                                       self.tokens[self.i].pos)
+            take(_PUNCT, "')'", ")")
+        # one semicolon is tolerated before a filter block
+        semicolon = take(_PUNCT, None, ";")
+        clauses = self.parse_filter() if take(_IDENT, None, ("filter",)) else {}
+        if clauses or not semicolon:
+            take(_PUNCT, "';'", ";")
+        tail = self.tokens[self.i]
+        if tail.kind != "end":
+            raise QuerySyntaxError(f"trailing input {tail.text!r}", tail.pos)
+        # the semantic checks follow every syntax check
+        if weights is not None:
+            try:
+                weights = validate_weights(weights)
+            except BadWeights as exc:
+                raise QuerySemanticError(str(exc)) from exc
+        doc_min = clauses.get("doc_min")
+        if doc_min is not None and not 0.0 <= doc_min <= 1.0:
+            raise QuerySemanticError(f"DOC threshold {doc_min} outside [0, 1]")
+        return QueryAst(projection, weights, **clauses)
+
+    def parse_filter(self) -> dict:
+        """The clauses of a filter block, by QueryAst field."""
+        take = self.take
+        take(_PUNCT, "'{'", "{")
+        clauses = {}
+        while not take(_PUNCT, None, "}"):
+            word = take(_IDENT, "a filter clause", _CLAUSES).text
+            if word == "DOC":
+                take(_PUNCT, "'>'", ">")
+                value = float(take(_NUMBER, "a number").text)
+            else:
+                take(_PUNCT, "'('", "(")
+                value = tuple(self.items(_ID, "an id"))
+                take(_PUNCT, "')'", ")")
+            field = _CLAUSES[word]
+            if field in clauses:
+                label = "DOC" if word == "DOC" else f"{field}(...)"
+                raise QuerySemanticError(f"duplicate {label} clause")
+            clauses[field] = value
+            take(_PUNCT, "';'", ";")
+        if not clauses:
+            raise QuerySyntaxError("empty filter block", self.tokens[self.i].pos)
+        return clauses
+
+
+def reference_parse(text: str) -> QueryAst:
+    """Parse query text into an AST, then check its semantics."""
+    return _Parser(_lex(text)).parse_query()
