@@ -19,13 +19,15 @@ Exit codes follow one failure rule: 0 success; 2 a usage or query syntax
 error; 3 bad input, which is any ValueError (every named input error, such
 as BadWeights or MissingEdge, is one); 1 any other BcscanError or OSError,
 a runtime failure such as a spent budget or a malformed log line under
-``ingest --strict``. A query, from -e or the REPL, is answered by one path.
+``ingest --strict``. The rule is applied in one place, the ``invoke`` of
+the ``cli`` group class ``_Commands``, which every command runs inside; a
+command raises and never sets an exit code itself. A query, from -e or
+the REPL, is answered by one path.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import logging
@@ -50,28 +52,6 @@ from .synth import (AttackScript, LabeledDataset, TruthGroup, generate,
                     threshold_sweep)
 
 log = logging.getLogger(__name__)
-
-
-def _die(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _guarded(fn):
-    """Map exception families onto the documented exit codes."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except QuerySyntaxError as exc:
-            _die(2, f"query syntax: {exc}")
-        except ValueError as exc:
-            _die(3, str(exc))
-        except (BcscanError, OSError) as exc:
-            _die(1, str(exc))
-
-    return wrapper
 
 
 def _load_config_file(path: str) -> dict:
@@ -238,7 +218,25 @@ def _load_candidates(path: str, graph: RatingGraph) -> list[Biclique]:
     return list({b.key: b for b in groups}.values())
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: every command, ``synth``'s too, runs inside its
+    ``invoke``, which maps exception families onto the documented exit
+    codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except QuerySyntaxError as exc:
+            code, message = 2, f"query syntax: {exc}"
+        except ValueError as exc:
+            code, message = 3, str(exc)
+        except (BcscanError, OSError) as exc:
+            code, message = 1, str(exc)
+        click.echo(f"error: {message}", err=True)
+        ctx.exit(code)
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__)
 @click.option("-v", "--verbose", count=True, help="Log progress to stderr (-vv for debug).")
 def cli(verbose: int):
@@ -257,7 +255,6 @@ def cli(verbose: int):
 @click.option("--strict", is_flag=True, help="Fail on the first malformed line.")
 @click.option("--out", type=click.Path(), required=True,
               help="Graph snapshot path (- for stdout).")
-@_guarded
 def ingest(input_path, fmt, strict, out, **overrides):
     """Parse, prune and collapse a raw log into a graph snapshot."""
     config = _build_config(None, **overrides)
@@ -278,7 +275,6 @@ def ingest(input_path, fmt, strict, out, **overrides):
 @_settings("min_r", "min_p", "candidate_cap")
 @click.option("--out", type=click.Path(), default=None,
               help="Candidate JSONL path (default stdout).")
-@_guarded
 def mine(graph_path, config_path, out, **overrides):
     """Enumerate maximal candidate groups from a graph snapshot."""
     config = _build_config(config_path, **overrides)
@@ -296,7 +292,6 @@ def mine(graph_path, config_path, out, **overrides):
 @_settings("weights", "max_tw")
 @click.option("--out", type=click.Path(), default=None,
               help="Scored JSONL path (default stdout).")
-@_guarded
 def indicators(graph_path, candidates_path, config_path, out, **overrides):
     """Score candidate groups: six indicators plus DOC and DI per group."""
     config = _build_config(config_path, **overrides)
@@ -336,7 +331,6 @@ def _report_csv(result: DetectionResult) -> str:
               help="Full result JSON path (- for stdout).")
 @click.option("--report", type=click.Choice(["table", "json", "csv"]),
               default="table", show_default=True, help="Stdout report format.")
-@_guarded
 def detect_cmd(graph_path, config_path, out, report, **overrides):
     """Run the whole detection pass and report every examined group."""
     graph = RatingGraph.load(graph_path)
@@ -387,7 +381,6 @@ def _show_query_result(res, as_json: bool):
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 @click.option("--strict-ids", is_flag=True,
               help="Treat unknown filter ids as an error instead of a warning.")
-@_guarded
 def query_cmd(graph_path, result_path, config_path, query_text, repl, as_json,
               strict_ids, **overrides):
     """Query a detection result with the getbicliques language.
@@ -459,7 +452,6 @@ def _run_repl(answer):
 @_settings("delta", config_file=False)
 @click.option("--out", type=click.Path(), default=None,
               help="CSV path (default stdout).")
-@_guarded
 def stats(scored_path, out, **overrides):
     """Cumulative distribution of every indicator over scored groups.
 
@@ -504,13 +496,9 @@ def _parse_attack(text: str) -> AttackScript:
         if key not in keys:
             raise ValueError(f"unknown attack key {key!r} "
                              f"(expected {', '.join(keys)})")
+        # each value is read as the type of its field's default
         field = keys[key]
-        if field == "value_mode":
-            kwargs[field] = value.strip()
-        elif field in ("group_size", "target_count", "time_span_days"):
-            kwargs[field] = int(value)
-        else:
-            kwargs[field] = float(value)
+        kwargs[field] = type(getattr(AttackScript, field))(value.strip())
     return AttackScript(**kwargs)
 
 
@@ -526,7 +514,6 @@ def _parse_attack(text: str) -> AttackScript:
               help="Rating CSV path (- for stdout).")
 @click.option("--truth", "truth_path", type=click.Path(), default=None,
               help="Ground-truth JSON path (- for stdout).")
-@_guarded
 def synth_generate(honest, products, density, attack_specs, seed, max_value,
                    out, truth_path):
     """Write a labelled synthetic rating log."""
@@ -567,7 +554,6 @@ def _parse_deltas(text: str) -> list[float]:
               help="start:stop:step sweep or comma-separated values.")
 @_settings(*(f for f in _SETTINGS if f != "delta"), base=_SYNTH_PRUNE)
 @click.option("--out", type=click.Path(), default=None, help="Sweep CSV (default stdout).")
-@_guarded
 def synth_eval(data_path, truth_path, deltas, config_path, out, **overrides):
     """Sweep delta over a labelled dataset and report precision/recall.
 

@@ -197,7 +197,9 @@ class DetectionResult:
         a row's reviewers or products are not a non-empty list of ids (see
         ``id_lists``), if a row's ``gs``, ``gps``, ``di`` or ``doc`` is not
         what its group and indicators derive to under the result's config
-        (see ``check_derived``), or if its collusive list is not derived."""
+        (see ``check_derived``), if a collusive row fails the scored rows'
+        id and field checks, or if its collusive list is not its scored rows
+        above delta."""
         if not isinstance(data, Mapping):
             raise ValueError("a result must be a JSON object")
         with fields_of("result"):
@@ -220,11 +222,13 @@ class DetectionResult:
                           [len(b.products) for b, _ in scored],
                           [rep for _, rep in scored],
                           result.docs(result.config.weights))
+            # a collusive row gets a scored row's checks, then must equal one
             collusive = list(json_objects(data["collusive"], "result collusive row"))
-            listed = [(tuple(sorted(set(rs))), tuple(sorted(set(ps))))
-                      for rs, ps in zip(id_lists(collusive, "reviewers", "result"),
-                                        id_lists(collusive, "products", "result"))]
-        if listed != [b.key for b, _ in result.collusive]:
+            listed = [((tuple(sorted(set(rs))), tuple(sorted(set(ps)))), rep)
+                      for rs, ps, rep in zip(id_lists(collusive, "reviewers", "result"),
+                                             id_lists(collusive, "products", "result"),
+                                             map(IndicatorReport.from_dict, collusive))]
+        if listed != [(b.key, rep) for b, rep in result.collusive]:
             raise ValueError("the result's collusive list does not match its "
                              "scored groups above delta")
         return result

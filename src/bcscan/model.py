@@ -355,7 +355,7 @@ class RatingGraph:
         epoch = iso_date(epoch) if epoch else None
         floors = {k: header[k] for k in PRUNE_FLOORS if k in header}
         with fields_of("snapshot"):
-            max_value = _as_float("max_value", header["max_value"])
+            max_value = header["max_value"]
             # checks the scale and the floors as detect's config does
             DetectionConfig(max_value=max_value, **floors)
             # the fields go in as read, so RatingEdge rejects a day that is

@@ -109,7 +109,8 @@ class _Parser:
             return text
         if want is None:
             return None
-        raise _SyntaxAt(f"expected {want}, found {_text(tok) or 'end of input'!r}", self.i)
+        found = _text(tok) if any(tok) else "end of input"   # all empty: the end token
+        raise _SyntaxAt(f"expected {want}, found {found!r}", self.i)
 
     def items(self, kind: int, want: str) -> list[str]:
         """The texts of a comma-separated list of one or more tokens."""

@@ -292,6 +292,33 @@ class TestExitCodes:
         assert isinstance(res.exception, SystemExit)
         assert "error: attack wants 5 targets, catalogue has 3" in res.stderr
 
+    @pytest.mark.parametrize("spec,message", [
+        ("size", "attack spec piece 'size' is not key=value"),
+        ("size=5,colour=red", "unknown attack key 'colour' "
+                              "(expected size, targets, mode, span, dup, camo)"),
+        ("size=x", "invalid literal for int() with base 10: 'x'"),
+        ("dup=x", "could not convert string to float: 'x'"),
+        # a value is read without its padding, in an error message too
+        ("size= x ", "invalid literal for int() with base 10: 'x'"),
+        ("mode=sideways", "value_mode must be promote or demote, got 'sideways'"),
+        ("targets=2", "target_count must be >= 3, got 2"),
+    ])
+    def test_bad_attack_spec_piece_is_3(self, runner, tmp_path, spec, message):
+        res = runner.invoke(cli, ["synth", "generate", "--attack", spec,
+                                  "--out", str(tmp_path / "d.csv")])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr == f"error: {message}\n"
+
+    def test_a_padded_attack_spec_reads_as_the_unpadded_one(self, runner, tmp_path):
+        outputs = []
+        for spec in ("size=5,mode=demote", " size = 5 , mode = demote ,"):
+            out = tmp_path / f"{len(outputs)}.csv"
+            assert run(runner, "synth", "generate", "--attack", spec, "--seed", "7",
+                       "--out", str(out)).exit_code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] != b""
+
     def test_query_weights_flag_reweights_the_cached_reports(self, runner, tmp_path):
         _, _, graph = seed_pipeline(runner, tmp_path)
         cached = tmp_path / "r.json"
@@ -403,6 +430,12 @@ def _first_scored_row_off(field: str):
         return {**result, "scored": [{**first, field: _one_ulp_off(first[field])},
                                      *rest]}
     return edit
+
+
+def _first_collusive_row(result: dict, **fields) -> dict:
+    """The result with ``fields`` set in its first collusive row."""
+    first, *rest = result["collusive"]
+    return {**result, "collusive": [{**first, **fields}, *rest]}
 
 
 # Each malformed input: the file, the JSONL line edited (a slice: the list of
@@ -548,6 +581,17 @@ MALFORMED = {
                                                         "products": []},
                                                        *r["collusive"][1:]]},
          "query", "result products must be a non-empty list of ids, got []"),
+    # a collusive row gets the scored rows' checks, then must equal its scored row
+    "result-collusive-row-doc-null":
+        ("result", None, lambda r: _first_collusive_row(r, doc=None), "query",
+         "doc must be a number, got None"),
+    "result-collusive-row-gvs-a-bool":
+        ("result", None, lambda r: _first_collusive_row(r, gvs=True), "query",
+         "gvs must be a number, got True"),
+    "result-collusive-row-doc-one-ulp-off":
+        ("result", None,
+         lambda r: _first_collusive_row(r, doc=_one_ulp_off(r["collusive"][0]["doc"])),
+         "query", "the result's collusive list does not match its scored groups"),
     "candidate-reviewers-a-number":
         ("cands", 0, lambda row: {**row, "reviewers": 5}, "indicators",
          "candidate file reviewers must be a non-empty list of ids, got 5"),

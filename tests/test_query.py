@@ -150,6 +150,11 @@ MALFORMED_QUERIES = [
      "expected an id, found ')' (at position 28)", 28),
     ("getbicliques() filter{ on(a) };", QuerySyntaxError,
      "expected ';', found '}' (at position 29)", 29),
+    # an empty quoted id is named as itself, not as the end of the input
+    ("getbicliques('');", QuerySyntaxError,
+     "expected a number, found '' (at position 13)", 13),
+    ("getbicliques() filter{ on(a) ''; };", QuerySyntaxError,
+     "expected ';', found '' (at position 29)", 29),
     # syntax errors come before the weight and DOC range checks ...
     ("getbicliques(0.5,0.5,0.5,0.5) filter{ DOC > 0.2 };", QuerySyntaxError,
      "expected ';', found '}' (at position 48)", 48),

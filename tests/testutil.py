@@ -493,8 +493,8 @@ class _Parser:
             return tok
         if want is None:
             return None
-        raise QuerySyntaxError(f"expected {want}, found {tok.text or 'end of input'!r}",
-                               tok.pos)
+        found = "end of input" if tok.kind == "end" else tok.text
+        raise QuerySyntaxError(f"expected {want}, found {found!r}", tok.pos)
 
     def items(self, kinds: tuple[str, ...], want: str) -> list[str]:
         """The texts of a comma-separated list of one or more tokens."""
