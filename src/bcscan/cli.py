@@ -33,6 +33,7 @@ import json
 import logging
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
@@ -54,11 +55,21 @@ from .synth import (AttackScript, LabeledDataset, TruthGroup, generate,
 log = logging.getLogger(__name__)
 
 
+def _read_json(path: str, kind: str):
+    """The JSON document in the file at ``path``: the one way a command
+    reads a JSON file. ValueError "<kind> is nested too deeply to read" for
+    one that nests past the decoder's recursion limit."""
+    with open(path, "r", encoding="utf-8") as fp:
+        try:
+            return json.load(fp)
+        except RecursionError:
+            raise ValueError(f"{kind} is nested too deeply to read") from None
+
+
 def _load_config_file(path: str) -> dict:
     """A --config file's settings: a bare config object, or the "config"
     echo of a saved result."""
-    with open(path, "r", encoding="utf-8") as fp:
-        data = json.load(fp)
+    data = _read_json(path, "config file")
     if isinstance(data, dict) and "config" in data:
         data = data["config"]
     if not isinstance(data, dict):
@@ -212,9 +223,8 @@ def _load_candidates(path: str, graph: RatingGraph) -> list[Biclique]:
     """The groups of a candidate JSONL, one per key."""
     with fields_of("candidate file"):
         rows = _read_jsonl(path, "candidate file")
-        groups = list(map(Biclique.from_graph,
-                          id_lists(rows, "reviewers", "candidate file"),
-                          id_lists(rows, "products", "candidate file"), repeat(graph)))
+        groups = list(map(Biclique.from_graph, *id_lists(rows, "candidate file"),
+                          repeat(graph)))
     return list({b.key: b for b in groups}.values())
 
 
@@ -393,8 +403,7 @@ def query_cmd(graph_path, result_path, config_path, query_text, repl, as_json,
     graph = RatingGraph.load(graph_path)
     cache = None
     if result_path:
-        with open(result_path, "r", encoding="utf-8") as fp:
-            cache = DetectionResult.from_dict(json.load(fp), graph)
+        cache = DetectionResult.from_dict(_read_json(result_path, "result"), graph)
     config = _build_config(config_path,
                            base=cache.config.to_dict() if cache else None,
                            **overrides)
@@ -465,8 +474,7 @@ def stats(scored_path, out, **overrides):
     with fields_of("scored file"):
         rows = _read_jsonl(scored_path, "scored file")
         reports = [IndicatorReport.from_dict(row) for row in rows]
-        reviewers, products = (id_lists(rows, side, "scored file")
-                               for side in ("reviewers", "products"))
+        reviewers, products = id_lists(rows, "scored file")
         check_derived("scored file row", [len(set(ids)) for ids in reviewers],
                       [len(set(ids)) for ids in products], reports)
     labels = ["collusive" if route(rep, delta) == "collusive" else "other"
@@ -509,17 +517,17 @@ def _parse_attack(text: str) -> AttackScript:
 @click.option("--attack", "attack_specs", multiple=True,
               help='Repeatable, e.g. "size=5,targets=4,mode=promote,span=2,dup=0.2,camo=0.3".')
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-value", type=float, default=5.0, show_default=True)
+@_settings("max_value", config_file=False)
 @click.option("--out", type=click.Path(), required=True,
               help="Rating CSV path (- for stdout).")
 @click.option("--truth", "truth_path", type=click.Path(), default=None,
               help="Ground-truth JSON path (- for stdout).")
-def synth_generate(honest, products, density, attack_specs, seed, max_value,
-                   out, truth_path):
+def synth_generate(honest, products, density, attack_specs, seed, out, truth_path,
+                   **overrides):
     """Write a labelled synthetic rating log."""
     attacks = [_parse_attack(spec) for spec in attack_specs]
     dataset = generate(honest, products, density, attacks, seed=seed,
-                       max_value=max_value)
+                       max_value=_build_config(None, **overrides).max_value)
     _echo_out(_csv(None, ([rr.reviewer, rr.product, repr(rr.value),
                            rr.date.isoformat()] for rr in dataset.raw)), out)
     if truth_path:
@@ -529,21 +537,31 @@ def synth_generate(honest, products, density, attack_specs, seed, max_value,
                f"group(s)", err=True)
 
 
-def _parse_deltas(text: str) -> list[float]:
+def _parse_deltas(text: str, config: DetectionConfig) -> list[float]:
+    """The points of a start:stop:step or comma-separated sweep, each checked
+    as ``config``'s delta as it is read, so no detection runs before a bad
+    point is found and a range stops at its first point past 1. ValueError
+    for a sweep with no points."""
+    def checked(delta: float) -> float:
+        return replace(config, delta=delta).delta
+
     parts = text.split(":")
     if len(parts) == 3:
         start, stop, step = (float(p) for p in parts)
-        if step <= 0:
+        if not step > 0:
             raise ValueError(f"delta step must be positive, got {step}")
         values = []
         v = start
         i = 0
         while v <= stop + 1e-9:
-            values.append(round(v, 10))
+            values.append(checked(round(v, 10)))
             i += 1
             v = start + i * step
-        return values
-    return [float(p) for p in text.split(",")]
+    else:
+        values = [checked(float(p)) for p in text.split(",")]
+    if not values:
+        raise ValueError(f"the delta sweep {text!r} has no points")
+    return values
 
 
 @synth.command(name="eval")
@@ -567,13 +585,12 @@ def synth_eval(data_path, truth_path, deltas, config_path, out, **overrides):
                                                max_value=config.max_value)
     if errors:
         raise ValueError(f"{len(errors)} malformed line(s) in {data_path}")
-    with open(truth_path, "r", encoding="utf-8") as fp, fields_of("truth file"):
-        rows = list(json_objects(json.load(fp), "truth file row"))
-        sides = (map(frozenset, id_lists(rows, side, "truth file"))
-                 for side in ("reviewers", "products"))
-        truth = tuple(map(TruthGroup, *sides))
+    with fields_of("truth file"):
+        rows = list(json_objects(_read_json(truth_path, "truth file"), "truth file row"))
+        truth = tuple(TruthGroup(frozenset(rs), frozenset(ps))
+                      for rs, ps in zip(*id_lists(rows, "truth file")))
     dataset = LabeledDataset(tuple(records), truth, config.max_value)
-    points = threshold_sweep(dataset, config, _parse_deltas(deltas))
+    points = threshold_sweep(dataset, config, _parse_deltas(deltas, config))
     _echo_out(_csv(["delta", "precision", "precision_vacuous",
                     "recall", "recall_vacuous", "retrieved"],
                    ([repr(pt.delta), repr(pt.precision.value),

@@ -204,8 +204,7 @@ class DetectionResult:
             raise ValueError("a result must be a JSON object")
         with fields_of("result"):
             rows = list(json_objects(data["scored"], "result scored row"))
-            groups = map(Biclique.from_graph, id_lists(rows, "reviewers", "result"),
-                         id_lists(rows, "products", "result"), repeat(graph))
+            groups = map(Biclique.from_graph, *id_lists(rows, "result"), repeat(graph))
             scored = tuple(zip(groups, map(IndicatorReport.from_dict, rows)))
             result = cls(scored, data["expanded_count"],
                          DetectionConfig.from_dict(data["config"]))
@@ -225,8 +224,7 @@ class DetectionResult:
             # a collusive row gets a scored row's checks, then must equal one
             collusive = list(json_objects(data["collusive"], "result collusive row"))
             listed = [((tuple(sorted(set(rs))), tuple(sorted(set(ps)))), rep)
-                      for rs, ps, rep in zip(id_lists(collusive, "reviewers", "result"),
-                                             id_lists(collusive, "products", "result"),
+                      for rs, ps, rep in zip(*id_lists(collusive, "result"),
                                              map(IndicatorReport.from_dict, collusive))]
         if listed != [(b.key, rep) for b, rep in result.collusive]:
             raise ValueError("the result's collusive list does not match its "

@@ -12,7 +12,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import (BcscanError, DEFAULT_MAX_VALUE, PRUNE_FLOORS, DetectionConfig,
-                    RatingEdge, RatingGraph, iso_date)
+                    RatingEdge, RatingGraph, _as_float, iso_date)
 
 log = logging.getLogger(__name__)
 
@@ -87,8 +87,8 @@ def parse_log(lines: Iterable[str], fmt: str = "csv",
                 reviewer, product = (_json_id(side, rec[side])
                                      for side in ("reviewer", "product"))
                 value_s, date_s = rec["value"], str(rec["date"])
-                if isinstance(value_s, bool):
-                    raise ValueError(f"value must be a number, got {value_s!r}")
+                if value_s.__class__ is not str:
+                    value_s = _as_float("value", value_s)
             if not reviewer or not product:
                 raise ValueError("empty reviewer or product id")
             value = float(value_s)

@@ -17,7 +17,7 @@ from datetime import date
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import fsum, isfinite
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 DEFAULT_MAX_VALUE = 5.0
 # the ingest settings a graph records besides its scale: its pruning floors
@@ -59,9 +59,10 @@ class BadWeights(BcscanError, ValueError):
 
 def validate_weights(weights: Iterable) -> tuple[float, float, float, float]:
     """Check a weight vector and return it as a 4-tuple of floats. Items are
-    numbers or numeric text; one that is neither is BadWeights too."""
+    numbers (see ``_as_float``) or numeric text; any other is BadWeights too."""
     try:
-        ws = tuple(float(w) for w in weights)
+        ws = tuple(w if w.__class__ is float else float(w) if isinstance(w, str)
+                   else _as_float("weight", w) for w in weights)
     except (TypeError, ValueError):
         raise BadWeights(f"weights must be numbers, got {weights!r}") from None
     if len(ws) != 4:
@@ -104,7 +105,9 @@ _scan = json.scanner.make_scanner(json.JSONDecoder())
 
 def read_json_lines(lines: Iterable[str], kind: str) -> Iterator[dict]:
     """The JSON object on each non-blank line: ValueError "<kind> line N is
-    not a JSON object" (N the line number) for any other JSON value.
+    not a JSON object" (N the line number) for any other JSON value, and
+    "<kind> line N is nested too deeply to read" for a value that nests past
+    the decoder's recursion limit.
 
     A line whose value ends exactly at the line's end (or before a final
     newline) is taken from the scanner. Any line the scanner cannot take
@@ -112,37 +115,42 @@ def read_json_lines(lines: Iterable[str], kind: str) -> Iterator[dict]:
     ``json.loads``, which skips it if blank and otherwise parses it or
     raises its own error for it, exactly as before the scanner was used.
     """
-    for n, line in enumerate(lines, 1):
-        try:
-            record, end = _scan(line, 0)
-        except (StopIteration, ValueError):
-            whole = False
-        else:
-            whole = end == len(line) or line[end:] == "\n"
-        if not whole:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-        if not isinstance(record, dict):
-            raise ValueError(f"{kind} line {n} is not a JSON object")
-        yield record
+    n = 0
+    try:
+        for n, line in enumerate(lines, 1):
+            try:
+                record, end = _scan(line, 0)
+            except (StopIteration, ValueError):
+                whole = False
+            else:
+                whole = end == len(line) or line[end:] == "\n"
+            if not whole:
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"{kind} line {n} is not a JSON object")
+            yield record
+    except RecursionError:
+        raise ValueError(f"{kind} line {n} is nested too deeply to read") from None
 
 
-def id_lists(rows: Iterable[Mapping], side: str, kind: str) -> list[list[str]]:
-    """Each record's ``side`` field ("reviewers" or "products"), checked to
-    be a non-empty JSON list of strings: ValueError "<kind> <side> must be a
-    non-empty list of ids, got ..." for the first that is not, and KeyError
-    for a missing one. The whole column is checked at once, and searched
-    row by row only when it fails."""
-    column = [row[side] for row in rows]
-    if not ({*map(type, column)} <= {list} and all(column)
-            and {*map(type, chain.from_iterable(column))} <= {str}):
-        for ids in column:
-            if not (ids.__class__ is list and ids
-                    and all(i.__class__ is str for i in ids)):
-                raise ValueError(f"{kind} {side} must be a non-empty list of ids, "
-                                 f"got {ids!r}")
-    return column
+def id_lists(rows: Sequence[Mapping], kind: str) -> Iterator[list[list[str]]]:
+    """Yields the records' reviewers column, then their products column, each
+    field checked to be a non-empty JSON list of strings: ValueError "<kind>
+    <side> must be a non-empty list of ids, got ..." for the first that is
+    not, and KeyError for a missing one. A column is checked whole before the
+    next is read, and searched row by row only when it fails."""
+    for side in ("reviewers", "products"):
+        column = [row[side] for row in rows]
+        if not ({*map(type, column)} <= {list} and all(column)
+                and {*map(type, chain.from_iterable(column))} <= {str}):
+            for ids in column:
+                if not (ids.__class__ is list and ids
+                        and all(i.__class__ is str for i in ids)):
+                    raise ValueError(f"{kind} {side} must be a non-empty list of "
+                                     f"ids, got {ids!r}")
+        yield column
 
 
 @contextmanager
@@ -164,7 +172,10 @@ def _as_float(name: str, value) -> float:
     """A JSON number as a float; ValueError for anything else, bools too."""
     if not _is_number(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
 
 
 class _EdgeFields(NamedTuple):
@@ -261,7 +272,7 @@ class RatingGraph:
         self._by_reviewer = by_r
         self._by_product = by_p
         self._products = tuple(sorted(by_p))
-        self._max_value = float(max_value)
+        self._max_value = _as_float("max_value", max_value)
         self._epoch = epoch
         self._floors = dict(floors or {})
         self._n_edges = n
@@ -534,7 +545,7 @@ class DetectionConfig:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         if self.prune_reviewer_min < 0 or self.prune_product_min < 0:
             raise ValueError("prune thresholds must be non-negative")
-        if not isfinite(self.max_value):
+        if not isfinite(_as_float("max_value", self.max_value)):
             # NaN passes every comparison below, and neither is JSON
             raise ValueError(f"max_value must be finite, got {self.max_value}")
         if self.max_value <= 1.0:

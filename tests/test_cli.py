@@ -310,6 +310,42 @@ class TestExitCodes:
         assert isinstance(res.exception, SystemExit)
         assert res.stderr == f"error: {message}\n"
 
+    # the scale is a setting like the rest, checked as a config checks it
+    @pytest.mark.parametrize("value,message", [
+        ("nan", "max_value must be finite, got nan"),
+        ("inf", "max_value must be finite, got inf"),
+        ("1", "max_value must exceed 1, got 1.0"),
+        ("0.5", "max_value must exceed 1, got 0.5"),
+    ])
+    def test_a_bad_generate_scale_is_3(self, runner, tmp_path, value, message):
+        out = tmp_path / "d.csv"
+        res = runner.invoke(cli, ["synth", "generate", "--max-value", value,
+                                  "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("deltas,message", [
+        ("1:0:0.1", "the delta sweep '1:0:0.1' has no points"),
+        ("0:nan:0.1", "the delta sweep '0:nan:0.1' has no points"),
+        ("0:1:nan", "delta step must be positive, got nan"),
+        ("0.5,2", "delta must lie in [0, 1], got 2.0"),
+        ("0.9:1.5:0.2", "delta must lie in [0, 1], got 1.1"),
+    ])
+    def test_a_bad_sweep_is_3_before_any_detection(self, runner, tmp_path, monkeypatch,
+                                                   deltas, message):
+        data, truth, _ = seed_pipeline(runner, tmp_path)
+
+        def detect(*args):
+            raise AssertionError("a detection ran")
+        monkeypatch.setattr("bcscan.synth.detect", detect)
+        res = runner.invoke(cli, ["synth", "eval", "--data", str(data),
+                                  "--truth", str(truth), "--deltas", deltas])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr == f"error: {message}\n"
+
     def test_a_padded_attack_spec_reads_as_the_unpadded_one(self, runner, tmp_path):
         outputs = []
         for spec in ("size=5,mode=demote", " size = 5 , mode = demote ,"):
@@ -437,6 +473,20 @@ def _first_collusive_row(result: dict, **fields) -> dict:
     first, *rest = result["collusive"]
     return {**result, "collusive": [{**first, **fields}, *rest]}
 
+
+class _Text(str):
+    """JSON text an edit gives to be written as it is, for a document
+    json.dumps cannot write."""
+
+
+def _json_text(value) -> str:
+    return value if isinstance(value, _Text) else json.dumps(value)
+
+
+# a 401-digit integer, past the largest float, and a 20,000-deep array, past
+# the JSON decoder's recursion limit
+HUGE = 10 ** 400
+NESTED = _Text("[" * 20_000 + "]" * 20_000)
 
 # Each malformed input: the file, the JSONL line edited (a slice: the list of
 # those lines; None: the whole JSON document), the edit, the command that
@@ -639,6 +689,36 @@ MALFORMED = {
     "result-without-examined_count":
         ("result", None, lambda r: _without(r, "examined_count"), "query",
          "result has no 'examined_count' field"),
+    # a JSON integer becomes a float in one place, which refuses one too large
+    "snapshot-header-max_value-an-oversized-integer":
+        ("graph", 0, lambda h: {**h, "max_value": HUGE}, "mine",
+         "max_value is an integer too large for a float"),
+    "snapshot-edge-v-an-oversized-integer":
+        ("graph", 1, lambda e: {**e, "v": HUGE}, "detect",
+         "rating value is an integer too large for a float"),
+    "snapshot-edge-s-an-oversized-integer":
+        ("graph", 1, lambda e: {**e, "s": HUGE}, "mine",
+         "spamicity is an integer too large for a float"),
+    "config-max_value-an-oversized-integer":
+        ("config", None, lambda c: {"max_value": HUGE}, "configured",
+         "max_value is an integer too large for a float"),
+    "config-weights-an-oversized-integer":
+        ("config", None, lambda c: {"weights": [HUGE, 0, 0, 0]}, "configured",
+         "weights must be numbers, got [1000"),
+    "result-config-weights-an-oversized-integer":
+        ("result", None,
+         lambda r: {**r, "config": {**r["config"], "weights": [HUGE, 0, 0, 0]}},
+         "query", "weights must be numbers, got [1000"),
+    # nesting past the decoder's limit is bad input in every JSON reader
+    **{f"{kind}-nested-too-deeply":
+       (kind, line, lambda _: NESTED, command, f"{name} is nested too deeply to read")
+       for kind, line, command, name in (
+           ("config", None, "configured", "config file"),
+           ("result", None, "query", "result"),
+           ("scored", 0, "stats", "scored file line 1"),
+           ("cands", 0, "indicators", "candidate file line 1"),
+           ("truth", None, "eval", "truth file"),
+           ("graph", 1, "mine", "snapshot line 2"))},
 }
 
 
@@ -668,13 +748,13 @@ def test_malformed_input_file_exits_3_with_an_error_line(runner, tmp_path, case)
     kind, line, edit, command, text = MALFORMED[case]
     path = paths[kind]
     if line is None:
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        path.write_text(_json_text(edit(json.loads(path.read_text()))))
     else:
         lines = path.read_text().splitlines()
         if isinstance(line, slice):
             lines[line] = map(json.dumps, edit([json.loads(l) for l in lines[line]]))
         else:
-            lines[line] = json.dumps(edit(json.loads(lines[line])))
+            lines[line] = _json_text(edit(json.loads(lines[line])))
         path.write_text("\n".join(lines) + "\n")
     res = runner.invoke(cli, commands[command])
     assert res.exit_code == 3, res.output
@@ -872,6 +952,7 @@ COMMAND_SETTINGS = {
     "query": {"--config", "--delta", "--weights"},
     "stats": {"--delta"},
     "synth eval": CONFIG_FLAGS - {"--delta"},
+    "synth generate": {"--max-value"},
 }
 
 

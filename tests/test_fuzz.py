@@ -17,8 +17,12 @@ from click.testing import CliRunner
 from bcscan.cli import cli
 
 DELETE = object()
-VALUES = [None, True, 0, -1, 1.5, float("nan"), 1e308, "", "x", "2004-13-45",
-          [], ["a"], {}, {"a": 1}, DELETE]
+# a 10,000-deep array, spliced into the dumped text in place of this string,
+# because json.dumps itself cannot nest that deep
+DEEP = "<a 10,000-deep array>"
+DEEP_TEXT = "[" * 10_000 + "]" * 10_000
+VALUES = [None, True, 0, -1, 1.5, float("nan"), 1e308, 10 ** 400, "", "x",
+          "2004-13-45", [], ["a"], {}, {"a": 1}, DEEP, DELETE]
 STDOUT = "-"
 FILES = ("ratings.csv", "truth.json", "graph.json", "result.json",
          "cands.jsonl", "scored.jsonl")
@@ -75,8 +79,10 @@ def _load(name, text):
 
 def _dump(name, doc):
     if name in JSONL:
-        return "".join(json.dumps(record) + "\n" for record in doc)
-    return json.dumps(doc)
+        text = "".join(json.dumps(record) + "\n" for record in doc)
+    else:
+        text = json.dumps(doc)
+    return text.replace(json.dumps(DEEP), DEEP_TEXT)
 
 
 def _record(doc, path):
@@ -169,10 +175,15 @@ def test_every_edit_of_a_field_exits_0_or_3(walkthrough, tmp_path, kind):
 @pytest.mark.parametrize("argv,message", [
     (["ingest", "--max-value", "1"], "max_value must exceed 1, got 1.0"),
     (["synth", "generate", "--density", "0"], "density must lie in (0, 1], got 0.0"),
-], ids=["ingest", "synth-generate"])
+    (["synth", "generate", "--max-value", "nan"], "max_value must be finite, got nan"),
+    (["synth", "eval", "--deltas", "1:0:0.1"], "the delta sweep '1:0:0.1' has no points"),
+], ids=["ingest", "synth-generate", "synth-generate-scale", "synth-eval-sweep"])
 def test_the_other_commands_map_bad_input_to_3(walkthrough, tmp_path, argv, message):
     if argv[0] == "ingest":
         argv = [*argv, "--input", walkthrough["ratings.csv"]]
+    elif argv[1] == "eval":
+        argv = [*argv, "--data", walkthrough["ratings.csv"],
+                "--truth", walkthrough["truth.json"]]
     res = CliRunner().invoke(cli, [*argv, "--out", str(tmp_path / "out")])
     assert res.exit_code == 3
     assert isinstance(res.exception, SystemExit)

@@ -37,7 +37,7 @@ class TestParseLog:
 
         lines = [line(reviewer=None), line(product=["p1"]), line(value=True),
                  line(reviewer=True), line(product={"id": "p1"}),
-                 line(reviewer=17, product=2.5), line(value="4.5")]
+                 line(reviewer=17, product=2.5), line(value="4.5"), line(value=10 ** 400)]
         records, errors = parse_log(lines, fmt="jsonl")
         assert records == [rr("17", "2.5", 4, "2004-03-01"),
                            rr("u1", "p1", 4.5, "2004-03-01")]
@@ -46,7 +46,8 @@ class TestParseLog:
             (2, "product id must be a string or a number, got ['p1']"),
             (3, "value must be a number, got True"),
             (4, "reviewer id must be a string or a number, got True"),
-            (5, "product id must be a string or a number, got {'id': 'p1'}")]
+            (5, "product id must be a string or a number, got {'id': 'p1'}"),
+            (8, "value is an integer too large for a float")]
 
     def test_only_plain_iso_dates_parse_on_every_python(self):
         # Python 3.11's date.fromisoformat also reads these ISO 8601 forms,

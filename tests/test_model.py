@@ -295,21 +295,33 @@ def test_candidate_jsonl_reads_as_json_loads_reads_it(tmp_path):
 @pytest.mark.parametrize("ids", [5, "r1", [], None, True, ["r1", 2], [["r1"]],
                                  {"r1": 1}, ("r1",)])
 def test_id_lists_names_the_first_list_that_is_not_one_of_ids(ids):
-    rows = [{"reviewers": ["r1", "r2"]}, {"reviewers": ids}, {"reviewers": 7}]
-    with pytest.raises(ValueError) as exc:
-        id_lists(rows, "reviewers", "result")
-    assert str(exc.value) == \
-        f"result reviewers must be a non-empty list of ids, got {ids!r}"
+    for side in ("reviewers", "products"):
+        rows = [{"reviewers": ["r1", "r2"], "products": ["p1"]},
+                {"reviewers": ["r1"], "products": ["p1"], side: ids},
+                {"reviewers": ["r1"], "products": ["p1"], side: 7}]
+        with pytest.raises(ValueError) as exc:
+            list(id_lists(rows, "result"))
+        assert str(exc.value) == \
+            f"result {side} must be a non-empty list of ids, got {ids!r}"
 
 
 def test_id_lists_returns_each_row_list_as_read():
-    rows = [{"products": ["p2", "p1", "p2"]}, {"products": ["p1"]}]
-    column = id_lists(rows, "products", "kind")
-    assert column == [["p2", "p1", "p2"], ["p1"]]
-    assert all(ids is row["products"] for ids, row in zip(column, rows))
-    assert id_lists([], "products", "kind") == []
+    rows = [{"reviewers": ["r1"], "products": ["p2", "p1", "p2"]},
+            {"reviewers": ["r2", "r1"], "products": ["p1"]}]
+    reviewers, products = id_lists(rows, "kind")
+    assert reviewers == [["r1"], ["r2", "r1"]]
+    assert products == [["p2", "p1", "p2"], ["p1"]]
+    assert all(rs is row["reviewers"] and ps is row["products"]
+               for rs, ps, row in zip(reviewers, products, rows))
+    assert list(id_lists([], "kind")) == [[], []]
     with pytest.raises(KeyError):
-        id_lists([{"reviewers": ["r1"]}], "products", "kind")
+        list(id_lists([{"reviewers": ["r1"]}], "kind"))
+
+
+def test_id_lists_checks_the_reviewers_before_it_reads_the_products():
+    # a file with both faults reports its reviewers, as the readers always did
+    with pytest.raises(ValueError, match="kind reviewers must be a non-empty list"):
+        list(id_lists([{"reviewers": 5}], "kind"))
 
 
 def test_weights_validation():
@@ -324,6 +336,10 @@ def test_weights_validation():
     assert validate_weights("0.4,0.3,0.2,0.1".split(",")) == (0.4, 0.3, 0.2, 0.1)
     with pytest.raises(BadWeights):
         validate_weights("0.4,x,0.2,0.1".split(","))
+    # a number too large for a float, or a bool, is not a weight
+    for bad in ([10 ** 400, 0, 0, 0], [True, 0, 0, 0]):
+        with pytest.raises(BadWeights, match="weights must be numbers"):
+            validate_weights(bad)
 
 
 def _report_row(*values) -> dict:
